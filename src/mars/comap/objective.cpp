@@ -105,7 +105,7 @@ const ServingObjective::Artifact& ServingObjective::artifact(
   artifact->flat = sim::FlatTaskGraph::from(artifact->proto);
   const sim::Executor executor(*problem_->topo,
                                planners_[t].problem().sim_params);
-  artifact->single_latency = executor.run(artifact->proto).makespan;
+  artifact->single_latency = executor.run(artifact->flat).makespan;
   return *artifacts_.emplace(key, std::move(artifact)).first->second;
 }
 

@@ -56,8 +56,8 @@ class Graph {
 
   /// Structural sanity check: connectivity, shape consistency, acyclicity
   /// (guaranteed by construction but re-verified). Single-component
-  /// enforcement is skipped when `require_connected` is false (multi-model
-  /// union graphs from merge_models() are intentionally disconnected).
+  /// enforcement is skipped when `require_connected` is false (spine
+  /// extraction accepts graphs with several components).
   void validate(bool require_connected = true) const;
 
   /// Graphviz dot rendering for debugging / documentation.

@@ -1,16 +1,13 @@
 #include "mars/serve/scheduler.h"
 
 #include <algorithm>
-#include <cstring>
-#include <new>
 #include <optional>
+#include <span>
 #include <string>
-#include <type_traits>
 
 #include "mars/obs/metrics.h"
 #include "mars/obs/trace.h"
-#include "mars/sim/event_queue.h"
-#include "mars/util/arena.h"
+#include "mars/sim/replay.h"
 #include "mars/util/error.h"
 
 namespace mars::serve {
@@ -18,56 +15,41 @@ namespace {
 
 using sim::TaskKind;
 
-/// Arena-backed state of one admitted request: a fixed header plus the
-/// per-task missing-dependency counters, in a single block sized by the
-/// model's task count. Blocks are recycled through a per-model intrusive
-/// free list the moment the request completes — by then every event that
-/// referenced the instance has been consumed (a task event exists only
-/// while its task is unfinished), so reuse is safe and deterministic.
-struct Instance {
+/// What the kernel carries per admitted request.
+struct RequestTag {
   Request request;
   Seconds dispatch{};
   int batch_size = 1;
-  int tasks_remaining = 0;
-  Instance* next_free = nullptr;
-
-  /// The trailing missing-dependency array (one int per prototype task).
-  [[nodiscard]] int* missing() { return reinterpret_cast<int*>(this + 1); }
 };
 
-// The trailing int array is placed directly after the header; recycling
-// skips destructors entirely, so the header must not acquire any.
-static_assert(std::is_trivially_destructible_v<Instance>);
-static_assert(alignof(Instance) % alignof(int) == 0);
+using Kernel = sim::ReplayKernel<Request, RequestTag>;
+using Instance = Kernel::Instance;
 
-struct Event {
-  enum class Kind : std::uint8_t {
-    kArrival,       // `request` enters its model's batcher
-    kDeadline,      // re-check model `index`'s batch timeout
-    kTryStart,      // task `index` of `instance`, leg `leg`, wants resources
-    kLegDone,       // transfer task `index` of `instance` finished leg `leg`
-    kTaskDone,      // compute task `index` of `instance` finished
-  };
-  Kind kind;
-  int index = -1;  // prototype task index or model id, depending on kind
-  int leg = 0;
-  Instance* instance = nullptr;  // task events only
-  Request request;               // kArrival only
-};
+/// Host-event index of an arrival (the payload is the request); deadline
+/// events carry the model index instead.
+constexpr int kArrival = -1;
 
-/// The mutable event-loop state for one run. Mirrors Executor::run, with
-/// two extensions: tasks are injected while the clock advances, and
-/// completions can feed back into the workload (closed loop).
+std::vector<const sim::FlatTaskGraph*> flats_of(
+    const std::vector<ServedModel>& models) {
+  std::vector<const sim::FlatTaskGraph*> flats;
+  flats.reserve(models.size());
+  for (const ServedModel& model : models) flats.push_back(model.flat);
+  return flats;
+}
+
+/// The serving host around one replay kernel: arrivals, batching,
+/// admission, closed-loop reissue, tracing and metrics. Task execution —
+/// instances, the contention rule, the resource timelines — is the
+/// kernel's (sim/replay.h); arrivals and batch deadlines ride on the
+/// kernel's event queue as host events, so one queue orders everything.
 class Engine {
  public:
   Engine(const topology::Topology& topo,
          const std::vector<ServedModel>& models,
          const SchedulerOptions& options)
-      : topo_(&topo),
-        models_(&models),
+      : models_(&models),
         network_(topo, options.sim),
-        route_cache_(static_cast<std::size_t>((topo.size() + 1) *
-                                              (topo.size() + 1))) {
+        kernel_(network_, flats_of(models)) {
     // The `none` policy dispatches every arrival immediately as a batch of
     // one; bypassing the Batcher on that path keeps steady-state dispatch
     // allocation-free (the batcher returns freshly built vectors).
@@ -79,21 +61,16 @@ class Engine {
       }
       armed_deadline_.assign(models.size(), std::nullopt);
     }
-    result_.acc_busy.assign(static_cast<std::size_t>(topo.size()),
-                            Seconds(0.0));
 
     admission_ = options.admission;
     in_system_.assign(models.size(), 0);
     queued_work_.assign(static_cast<std::size_t>(topo.size()), Seconds(0.0));
-    flats_.reserve(models.size());
-    free_list_.assign(models.size(), nullptr);
     // Which accelerators each model's prototype computes on — the
     // timelines its requests queue behind, hence the ones the slo:
     // admission estimate reads.
     service_accs_.resize(models.size());
     for (std::size_t m = 0; m < models.size(); ++m) {
       const sim::FlatTaskGraph& flat = *models[m].flat;
-      flats_.push_back(&flat);
       std::vector<bool> used(static_cast<std::size_t>(topo.size()), false);
       for (int t = 0; t < flat.size; ++t) {
         if (flat.kinds[static_cast<std::size_t>(t)] == TaskKind::kCompute) {
@@ -140,6 +117,8 @@ class Engine {
       completed_total_ = &registry->counter("serve.requests.completed");
       batches_total_ = &registry->counter("serve.batches.dispatched");
       tasks_total_ = &registry->counter("serve.tasks.executed");
+      events_total_ = &registry->counter("serve.events.processed");
+      requeued_total_ = &registry->counter("serve.events.requeued");
       latency_hist_ = &registry->histogram("serve.latency_seconds");
     }
   }
@@ -153,17 +132,16 @@ class Engine {
   /// (shed:N, N <= 16); deeper configurations regrow the heap amortised.
   void reserve(std::size_t arrivals) {
     std::size_t task_slack = 64;
-    for (const sim::FlatTaskGraph* flat : flats_) {
-      task_slack += 16 * static_cast<std::size_t>(flat->size);
+    for (const ServedModel& model : *models_) {
+      task_slack += 16 * static_cast<std::size_t>(model.flat->size);
     }
-    queue_.reserve(arrivals + task_slack);
+    kernel_.reserve(arrivals + task_slack);
     result_.completed.reserve(arrivals);
     result_.rejected.reserve(arrivals);
   }
 
   void add_arrival(const Request& request) {
-    queue_.push(request.arrival,
-                Event{Event::Kind::kArrival, -1, 0, nullptr, request});
+    kernel_.push_host(request.arrival, kArrival, request);
     next_request_id_ = std::max(next_request_id_, request.id + 1);
   }
 
@@ -175,14 +153,14 @@ class Engine {
 
   ServeResult run() {
     for (;;) {
-      drain_events();
+      kernel_.run(*this);
       // The queue only runs dry while requests are parked in a batcher
       // whose trigger can never fire (size-N at end of stream, or a
       // closed loop with fewer outstanding clients than N): drain them.
       bool flushed = false;
       for (std::size_t m = 0; m < batchers_.size(); ++m) {
-        for (std::vector<Request>& batch : batchers_[m].flush()) {
-          dispatch(std::move(batch), now_);
+        for (const std::vector<Request>& batch : batchers_[m].flush()) {
+          dispatch(batch);
           flushed = true;
         }
       }
@@ -193,33 +171,67 @@ class Engine {
                    << admitted_ -
                           static_cast<long long>(result_.completed.size())
                    << " requests never completed");
+    result_.horizon = kernel_.horizon();
+    result_.acc_busy = kernel_.take_acc_busy();
+    result_.tasks_executed = kernel_.tasks_executed();
+    if (tasks_total_ != nullptr) {
+      tasks_total_->add(kernel_.tasks_executed());
+      events_total_->add(kernel_.events_processed());
+      requeued_total_->add(kernel_.requeued());
+    }
     return std::move(result_);
   }
 
- private:
-  void drain_events() {
-    while (!queue_.empty()) {
-      const Event event = queue_.pop(now_);
-      switch (event.kind) {
-        case Event::Kind::kArrival:
-          handle_arrival(event.request);
-          break;
-        case Event::Kind::kDeadline:
-          drain_batcher(event.index);
-          break;
-        case Event::Kind::kTryStart:
-          try_start(event.instance, event.index, event.leg);
-          break;
-        case Event::Kind::kLegDone:
-          leg_done(event.instance, event.index, event.leg);
-          break;
-        case Event::Kind::kTaskDone:
-          finish_task(event.instance, event.index);
-          break;
-      }
+  // ---- kernel hooks (sim/replay.h) ----
+
+  void on_host_event(const Kernel::Event& event) {
+    if (event.index == kArrival) {
+      handle_arrival(event.payload);
+    } else {
+      drain_batcher(event.index);
     }
   }
 
+  /// A compute task's work moves from "queued" to "running" (acc_free
+  /// covers it) the moment it acquires its accelerator.
+  void on_start(const Instance& instance, int t) {
+    const sim::FlatTaskGraph& flat =
+        *(*models_)[static_cast<std::size_t>(instance.graph)].flat;
+    const auto ti = static_cast<std::size_t>(t);
+    if (flat.kinds[ti] != TaskKind::kCompute) return;
+    const int acc = flat.accs[ti];
+    queued_work_[static_cast<std::size_t>(acc)] -= flat.durations[ti];
+    if (rec_ != nullptr) {
+      trace_compute(instance, acc, kernel_.now() + flat.durations[ti]);
+    }
+  }
+
+  void on_done(const Instance&, int) {}
+
+  void on_complete(const Instance& instance) {
+    const RequestTag& tag = instance.tag;
+    const Seconds now = kernel_.now();
+    result_.completed.push_back(
+        CompletedRequest{tag.request, tag.dispatch, now, tag.batch_size});
+    const auto m = static_cast<std::size_t>(tag.request.model);
+    --in_system_[m];
+    if (completed_total_ != nullptr) completed_total_->add();
+    if (latency_hist_ != nullptr) {
+      latency_hist_->observe((now - tag.request.arrival).count());
+    }
+    if (rec_ != nullptr) {
+      const int track = model_tracks_[m];
+      rec_->async_end(obs::Clock::kSim, track, "req", tag.request.id,
+                      "execute", now);
+      rec_->async_end(obs::Clock::kSim, track, "req", tag.request.id,
+                      (*models_)[m].name, now);
+      rec_->counter(obs::Clock::kSim, in_system_name_[m], now,
+                    static_cast<double>(in_system_[m]));
+    }
+    reissue_after_think(tag.request.model, tag.request.client);
+  }
+
+ private:
   void handle_arrival(const Request& request) {
     if (!admit(request)) {
       if (shed_total_ != nullptr) shed_total_->add();
@@ -238,7 +250,7 @@ class Engine {
     ++in_system_[static_cast<std::size_t>(request.model)];
     if (rec_ != nullptr) trace_admit(request);
     if (immediate_dispatch_) {
-      dispatch_single(request, now_);
+      dispatch({&request, 1});
       return;
     }
     batchers_[static_cast<std::size_t>(request.model)].push(request);
@@ -282,11 +294,12 @@ class Engine {
   /// Transfer contention and batching delay are not modelled, so the
   /// estimate is optimistic; slo: sheds late rather than early.
   [[nodiscard]] Seconds predicted_latency(int model) const {
+    const Seconds now = kernel_.now();
     Seconds backlog{};
     for (int acc : service_accs_[static_cast<std::size_t>(model)]) {
-      const auto a = static_cast<std::size_t>(acc);
-      Seconds wait = queued_work_[a];
-      if (acc_free_[a] > now_) wait += acc_free_[a] - now_;
+      Seconds wait = queued_work_[static_cast<std::size_t>(acc)];
+      const Seconds free = kernel_.acc_free(acc);
+      if (free > now) wait += free - now;
       backlog = std::max(backlog, wait);
     }
     return backlog +
@@ -295,20 +308,20 @@ class Engine {
 
   void reissue_after_think(int model, int client) {
     if (!closed_loop_ || client < 0) return;
-    const Seconds next = now_ + think_;
+    const Seconds next = kernel_.now() + think_;
     if (next > issue_horizon_) return;  // client retires
     Request request;
     request.id = next_request_id_++;
     request.model = model;
     request.arrival = next;
     request.client = client;
-    queue_.push(next, Event{Event::Kind::kArrival, -1, 0, nullptr, request});
+    kernel_.push_host(next, kArrival, request);
   }
 
   void drain_batcher(int model) {
     Batcher& batcher = batchers_[static_cast<std::size_t>(model)];
-    for (std::vector<Request>& batch : batcher.pop_ready(now_)) {
-      dispatch(std::move(batch), now_);
+    for (const std::vector<Request>& batch : batcher.pop_ready(kernel_.now())) {
+      dispatch(batch);
     }
     // Arm the timeout of the (possibly new) open batch. Later arrivals
     // leave the deadline unchanged, so only arm when it moves; a stale
@@ -318,67 +331,35 @@ class Engine {
     if (deadline &&
         deadline != armed_deadline_[static_cast<std::size_t>(model)]) {
       armed_deadline_[static_cast<std::size_t>(model)] = deadline;
-      queue_.push(*deadline,
-                  Event{Event::Kind::kDeadline, model, 0, nullptr, {}});
+      kernel_.push_host(*deadline, model, {});
     }
   }
 
-  void dispatch(std::vector<Request> batch, Seconds now) {
+  /// Admits a batch; the `none` policy passes each arrival as a batch of
+  /// one (no vector).
+  void dispatch(std::span<const Request> batch) {
     ++result_.batches_dispatched;
     if (batches_total_ != nullptr) batches_total_->add();
+    if (batch.empty()) return;
     const int batch_size = static_cast<int>(batch.size());
-    if (rec_ != nullptr && !batch.empty()) {
-      rec_->instant(
-          obs::Clock::kSim,
-          model_tracks_[static_cast<std::size_t>(batch.front().model)],
-          "batch", now, {{"size", JsonValue::integer(batch_size)}});
-    }
-    for (Request& request : batch) {
-      instantiate(request, now, batch_size);
-    }
-    if (!batch.empty()) sample_queued_work(batch.front().model, now);
-  }
-
-  /// The `none`-policy fast path: one request, one batch, no vectors.
-  void dispatch_single(const Request& request, Seconds now) {
-    ++result_.batches_dispatched;
-    if (batches_total_ != nullptr) batches_total_->add();
+    const int model = batch.front().model;
     if (rec_ != nullptr) {
       rec_->instant(obs::Clock::kSim,
-                    model_tracks_[static_cast<std::size_t>(request.model)],
-                    "batch", now, {{"size", JsonValue::integer(1)}});
+                    model_tracks_[static_cast<std::size_t>(model)], "batch",
+                    kernel_.now(), {{"size", JsonValue::integer(batch_size)}});
     }
-    instantiate(request, now, 1);
-    sample_queued_work(request.model, now);
+    for (const Request& request : batch) instantiate(request, batch_size);
+    sample_queued_work(model);
   }
 
-  /// Stamps one request instance into a recycled arena block: copy the
-  /// prototype's missing-dependency counts, account its compute on the
+  /// Admits one request into the kernel: account its compute on the
   /// queued-work timelines (same per-task order as a clone would, so the
-  /// floating-point sums match the historical engine bit for bit), and
-  /// seed the root task events in task order.
-  void instantiate(const Request& request, Seconds now, int batch_size) {
+  /// floating-point sums match the historical engine bit for bit), then
+  /// stamp the instance, which seeds its root task events.
+  void instantiate(const Request& request, int batch_size) {
     const auto m = static_cast<std::size_t>(request.model);
-    const sim::FlatTaskGraph& flat = *flats_[m];
-    Instance* instance = free_list_[m];
-    if (instance != nullptr) {
-      free_list_[m] = instance->next_free;
-    } else {
-      void* block = arena_.allocate(
-          sizeof(Instance) +
-              sizeof(int) * static_cast<std::size_t>(flat.size),
-          alignof(Instance));
-      instance = new (block) Instance();
-    }
-    instance->request = request;
-    instance->dispatch = now;
-    instance->batch_size = batch_size;
-    instance->tasks_remaining = flat.size;
-    instance->next_free = nullptr;
-    if (flat.size > 0) {
-      std::memcpy(instance->missing(), flat.dep_counts.data(),
-                  sizeof(int) * static_cast<std::size_t>(flat.size));
-    }
+    const sim::FlatTaskGraph& flat = *(*models_)[m].flat;
+    const Seconds now = kernel_.now();
     ++admitted_;
     if (rec_ != nullptr) {
       const int track = model_tracks_[m];
@@ -394,159 +375,37 @@ class Engine {
             flat.durations[static_cast<std::size_t>(t)];
       }
     }
-    for (sim::TaskId root : flat.roots) {
-      queue_.push(now, Event{Event::Kind::kTryStart, root, 0, instance, {}});
-    }
+    kernel_.instantiate(request.model, RequestTag{request, now, batch_size});
   }
 
   /// Post-dispatch queued-work samples for the accelerators this model
   /// computes on.
-  void sample_queued_work(int model, Seconds now) {
+  void sample_queued_work(int model) {
     if (rec_ == nullptr) return;
     for (const int acc : service_accs_[static_cast<std::size_t>(model)]) {
       const auto a = static_cast<std::size_t>(acc);
-      rec_->counter(obs::Clock::kSim, queued_name_[a], now,
+      rec_->counter(obs::Clock::kSim, queued_name_[a], kernel_.now(),
                     queued_work_[a].count());
-    }
-  }
-
-  void try_start(Instance* instance, int t, int leg) {
-    const sim::FlatTaskGraph& flat =
-        *flats_[static_cast<std::size_t>(instance->request.model)];
-    const auto ti = static_cast<std::size_t>(t);
-    switch (flat.kinds[ti]) {
-      case TaskKind::kBarrier:
-        finish_task(instance, t);
-        break;
-      case TaskKind::kCompute: {
-        const auto a = static_cast<std::size_t>(flat.accs[ti]);
-        Seconds& free = acc_free_[a];
-        if (free > now_) {
-          queue_.push(free, Event{Event::Kind::kTryStart, t, 0, instance, {}});
-          break;
-        }
-        const Seconds duration = flat.durations[ti];
-        const Seconds end = now_ + duration;
-        free = end;
-        result_.acc_busy[a] += duration;
-        // The work moves from "queued" to "running" (acc_free covers it).
-        queued_work_[a] -= duration;
-        if (rec_ != nullptr) trace_compute(instance, flat.accs[ti], end);
-        queue_.push(end, Event{Event::Kind::kTaskDone, t, 0, instance, {}});
-        break;
-      }
-      case TaskKind::kTransfer: {
-        if (flat.bytes[ti].count() <= 0.0) {
-          finish_task(instance, t);
-          break;
-        }
-        const std::vector<sim::RouteLeg>& route =
-            route_for(flat.srcs[ti], flat.dsts[ti]);
-        MARS_CHECK(leg < static_cast<int>(route.size()),
-                   "leg index out of range");
-        const sim::RouteLeg& hop = route[static_cast<std::size_t>(leg)];
-        Seconds& free = channel_free_[static_cast<std::size_t>(hop.channel)];
-        if (free > now_) {
-          queue_.push(free,
-                      Event{Event::Kind::kTryStart, t, leg, instance, {}});
-          break;
-        }
-        const Seconds end = now_ + network_.leg_time(hop, flat.bytes[ti]);
-        free = end;
-        queue_.push(end, Event{Event::Kind::kLegDone, t, leg, instance, {}});
-        break;
-      }
     }
   }
 
   /// One busy span per compute task on its accelerator's track (an
   /// accelerator runs one task at a time, so spans on a track never
   /// overlap), plus the post-start queued-work counter sample.
-  void trace_compute(const Instance* instance, int acc, Seconds end) {
+  void trace_compute(const Instance& instance, int acc, Seconds end) {
     const auto a = static_cast<std::size_t>(acc);
-    const auto m = static_cast<std::size_t>(instance->request.model);
-    rec_->complete(obs::Clock::kSim, acc_tracks_[a], (*models_)[m].name,
-                   now_, end - now_,
-                   {{"request", JsonValue::integer(instance->request.id)}});
-    rec_->counter(obs::Clock::kSim, queued_name_[a], now_,
+    const Seconds now = kernel_.now();
+    rec_->complete(obs::Clock::kSim, acc_tracks_[a],
+                   (*models_)[static_cast<std::size_t>(instance.graph)].name,
+                   now, end - now,
+                   {{"request", JsonValue::integer(instance.tag.request.id)}});
+    rec_->counter(obs::Clock::kSim, queued_name_[a], now,
                   queued_work_[a].count());
   }
 
-  void leg_done(Instance* instance, int t, int leg) {
-    const sim::FlatTaskGraph& flat =
-        *flats_[static_cast<std::size_t>(instance->request.model)];
-    const auto ti = static_cast<std::size_t>(t);
-    const std::vector<sim::RouteLeg>& route =
-        route_for(flat.srcs[ti], flat.dsts[ti]);
-    if (leg + 1 < static_cast<int>(route.size())) {
-      // Store-and-forward at the host before the next leg.
-      queue_.push(now_ + network_.params().host_latency,
-                  Event{Event::Kind::kTryStart, t, leg + 1, instance, {}});
-    } else {
-      finish_task(instance, t);
-    }
-  }
-
-  void finish_task(Instance* instance, int t) {
-    result_.horizon = std::max(result_.horizon, now_);
-    ++result_.tasks_executed;
-    if (tasks_total_ != nullptr) tasks_total_->add();
-    const sim::FlatTaskGraph& flat =
-        *flats_[static_cast<std::size_t>(instance->request.model)];
-    int* missing = instance->missing();
-    const auto begin =
-        static_cast<std::size_t>(flat.dependent_offsets[static_cast<std::size_t>(t)]);
-    const auto end = static_cast<std::size_t>(
-        flat.dependent_offsets[static_cast<std::size_t>(t) + 1]);
-    for (std::size_t i = begin; i < end; ++i) {
-      const sim::TaskId dependent = flat.dependents[i];
-      if (--missing[dependent] == 0) {
-        queue_.push(now_,
-                    Event{Event::Kind::kTryStart, dependent, 0, instance, {}});
-      }
-    }
-    if (--instance->tasks_remaining == 0) complete_request(instance);
-  }
-
-  void complete_request(Instance* instance) {
-    result_.completed.push_back(CompletedRequest{
-        instance->request, instance->dispatch, now_, instance->batch_size});
-    const auto m = static_cast<std::size_t>(instance->request.model);
-    --in_system_[m];
-    if (completed_total_ != nullptr) completed_total_->add();
-    if (latency_hist_ != nullptr) {
-      latency_hist_->observe((now_ - instance->request.arrival).count());
-    }
-    if (rec_ != nullptr) {
-      const int track = model_tracks_[m];
-      rec_->async_end(obs::Clock::kSim, track, "req", instance->request.id,
-                      "execute", now_);
-      rec_->async_end(obs::Clock::kSim, track, "req", instance->request.id,
-                      (*models_)[m].name, now_);
-      rec_->counter(obs::Clock::kSim, in_system_name_[m], now_,
-                    static_cast<double>(in_system_[m]));
-    }
-    reissue_after_think(instance->request.model, instance->request.client);
-    // Recycle the block: every event referencing this instance has been
-    // consumed (its last task just finished), so LIFO reuse is safe.
-    instance->next_free = free_list_[m];
-    free_list_[m] = instance;
-  }
-
-  const std::vector<sim::RouteLeg>& route_for(int src, int dst) {
-    const int n = topo_->size();
-    auto& slot = route_cache_[static_cast<std::size_t>((src + 1) * (n + 1) +
-                                                       (dst + 1))];
-    if (!slot) slot = network_.route(src, dst);
-    return *slot;
-  }
-
-  const topology::Topology* topo_;
   const std::vector<ServedModel>* models_;
   sim::Network network_;
-
-  sim::EventQueue<Event> queue_;
-  Seconds now_{};
+  Kernel kernel_;
 
   bool immediate_dispatch_ = false;
   std::vector<Batcher> batchers_;  // empty on the immediate-dispatch path
@@ -557,20 +416,7 @@ class Engine {
   std::vector<int> in_system_;  // per model: batcher queue + in flight
   std::vector<Seconds> queued_work_;  // per acc: admitted, not yet started
   std::vector<std::vector<int>> service_accs_;  // per model: accs its proto uses
-
-  // Instance pool: one flat prototype per model, blocks recycled through
-  // per-model free lists, backing storage in the arena.
-  std::vector<const sim::FlatTaskGraph*> flats_;
-  std::vector<Instance*> free_list_;
-  util::Arena arena_;
   long long admitted_ = 0;
-
-  std::vector<Seconds> acc_free_ =
-      std::vector<Seconds>(static_cast<std::size_t>(topo_->size()),
-                           Seconds(0.0));
-  std::vector<Seconds> channel_free_ = std::vector<Seconds>(
-      static_cast<std::size_t>(network_.num_channels()), Seconds(0.0));
-  std::vector<std::optional<std::vector<sim::RouteLeg>>> route_cache_;
 
   bool closed_loop_ = false;
   Seconds think_{};
@@ -588,6 +434,8 @@ class Engine {
   obs::Counter* completed_total_ = nullptr;
   obs::Counter* batches_total_ = nullptr;
   obs::Counter* tasks_total_ = nullptr;
+  obs::Counter* events_total_ = nullptr;
+  obs::Counter* requeued_total_ = nullptr;
   obs::Histogram* latency_hist_ = nullptr;
 
   ServeResult result_;

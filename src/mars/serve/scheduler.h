@@ -1,19 +1,22 @@
-// Online multi-tenant dispatcher: the serving counterpart of sim::Executor.
+// Online multi-tenant dispatcher over the shared replay kernel.
 //
-// The offline Executor replays one closed task graph from t=0; serving
-// instead sees an unbounded request stream. OnlineScheduler runs its own
-// deterministic event loop over the shared topology: request arrivals
-// feed per-model Batchers, every admitted request stamps an instance of
-// its model's flat prototype graph (ModelService::flat_proto) into a
-// recycled arena block — a header plus per-task missing-dependency
-// counters, no heap clone — and compute/transfer tasks then contend for
-// accelerators and directed channels under exactly the Executor's FIFO
-// semantics: one compute per accelerator, one flow per channel, ties by
-// event insertion order. This is where co-resident models interfere:
-// their tasks queue on the same acc_free / channel_free timelines.
-// Steady-state dispatch allocates nothing (pinned by
-// tests/serve/test_zero_alloc.cpp); fleet-scale throughput numbers live
-// in docs/PERFORMANCE.md.
+// The offline sim::Executor replays one closed task graph from t=0;
+// serving instead sees an unbounded request stream. Both run on the same
+// event loop, sim::ReplayKernel (sim/replay.h), which owns task execution:
+// arena-backed instances of each model's flat prototype graph
+// (ModelService::flat_proto — a header plus per-task missing-dependency
+// counters, no heap clone), the acc_free / channel_free timelines, the
+// route cache, and the one FIFO contention rule — one compute per
+// accelerator, one flow per channel, busy resources retried at their free
+// time, ties by event insertion order. This is where co-resident models
+// interfere: their tasks queue on the same timelines.
+//
+// OnlineScheduler is the kernel's host. It keeps request arrivals,
+// per-model Batchers, admission, closed-loop reissue, tracing and metrics,
+// and pushes its arrival and batch-deadline events into the kernel's one
+// queue, so host and task events share a single tie order. Steady-state
+// dispatch allocates nothing (pinned by tests/serve/test_zero_alloc.cpp);
+// fleet-scale throughput numbers live in docs/PERFORMANCE.md.
 //
 // Admission control runs before batching: every arrival is offered to the
 // configured AdmissionPolicy, and a request the saturated fleet is
@@ -62,7 +65,9 @@ struct SchedulerOptions {
 /// without planning a full service.
 struct ServedModel {
   std::string name;
-  /// Flat single-inference prototype; must outlive the scheduler.
+  /// Flat single-inference prototype; must outlive the scheduler. Its
+  /// accelerators and transfer endpoints must lie inside the scheduler's
+  /// topology (a run throws InvalidArgument otherwise).
   const sim::FlatTaskGraph* flat = nullptr;
   /// Uncontended single-inference latency (the slo: admission estimate).
   Seconds single_latency{};

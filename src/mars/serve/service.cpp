@@ -91,7 +91,7 @@ ModelService::ModelService(std::string model_name,
   proto_ = evaluator.build_task_graph(mapping_);
   flat_proto_ = sim::FlatTaskGraph::from(proto_);
   const sim::Executor executor(topo, planner_.problem().sim_params);
-  single_latency_ = executor.run(proto_).makespan;
+  single_latency_ = executor.run(flat_proto_).makespan;
 }
 
 std::string to_string(ModelService::MappingSource source) {

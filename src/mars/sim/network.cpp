@@ -32,7 +32,10 @@ int Network::host_up_channel(int acc) const { return host_up_base_ + acc; }
 int Network::host_down_channel(int acc) const { return host_down_base_ + acc; }
 
 std::vector<RouteLeg> Network::route(int src, int dst) const {
-  MARS_CHECK_ARG(src >= kHost && dst >= kHost && src != dst, "bad route endpoints");
+  const int n = topo_->size();
+  MARS_CHECK_ARG(src >= kHost && src < n && dst >= kHost && dst < n && src != dst,
+                 "bad route endpoints " << src << " -> " << dst << " on a "
+                                        << n << "-accelerator topology");
   std::vector<RouteLeg> legs;
   if (src == kHost) {
     legs.push_back({host_down_channel(dst), topo_->host_bandwidth(dst)});

@@ -32,8 +32,11 @@ class Network {
   Network(const topology::Topology& topo, SimParams params);
 
   /// Channels a src->dst flow traverses in order (1 leg when a direct link
-  /// exists or an endpoint is the host, otherwise 2 via the host).
+  /// exists or an endpoint is the host, otherwise 2 via the host). Throws
+  /// InvalidArgument unless src != dst and both lie in [kHost, size()).
   [[nodiscard]] std::vector<RouteLeg> route(int src, int dst) const;
+
+  [[nodiscard]] const topology::Topology& topology() const { return *topo_; }
 
   [[nodiscard]] int num_channels() const { return num_channels_; }
   [[nodiscard]] const SimParams& params() const { return params_; }

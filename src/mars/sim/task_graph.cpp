@@ -103,4 +103,21 @@ FlatTaskGraph FlatTaskGraph::from(const TaskGraph& graph) {
   return flat;
 }
 
+void FlatTaskGraph::check_targets(int accelerators) const {
+  for (std::size_t t = 0; t < static_cast<std::size_t>(size); ++t) {
+    if (kinds[t] == TaskKind::kCompute) {
+      MARS_CHECK_ARG(accs[t] >= 0 && accs[t] < accelerators,
+                     "compute task " << t << " runs on accelerator " << accs[t]
+                                     << " of a " << accelerators
+                                     << "-accelerator topology");
+    } else if (kinds[t] == TaskKind::kTransfer) {
+      MARS_CHECK_ARG(srcs[t] >= kHost && srcs[t] < accelerators &&
+                         dsts[t] >= kHost && dsts[t] < accelerators,
+                     "transfer task " << t << " moves " << srcs[t] << " -> "
+                                      << dsts[t] << " on a " << accelerators
+                                      << "-accelerator topology");
+    }
+  }
+}
+
 }  // namespace mars::sim

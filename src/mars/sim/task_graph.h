@@ -89,6 +89,11 @@ struct FlatTaskGraph {
   std::vector<TaskId> roots;
 
   [[nodiscard]] static FlatTaskGraph from(const TaskGraph& graph);
+
+  /// Throws InvalidArgument naming the first task whose compute
+  /// accelerator lies outside [0, accelerators) or whose transfer endpoint
+  /// lies outside [kHost, accelerators).
+  void check_targets(int accelerators) const;
 };
 
 }  // namespace mars::sim

@@ -12,6 +12,7 @@
 #include "mars/obs/metrics.h"
 #include "mars/obs/trace.h"
 #include "mars/plan/engines.h"
+#include "mars/serve/fleet.h"
 #include "mars/serve/metrics.h"
 #include "mars/serve/report.h"
 #include "mars/serve/scheduler.h"
@@ -171,6 +172,40 @@ TEST(RegistryFlushTest, ServeCountersMatchSchedulerResults) {
             result.tasks_executed);
   EXPECT_EQ(registry.histogram("serve.latency_seconds").count(),
             static_cast<long long>(result.completed.size()));
+  // Every arrival and every task pops at least one event; the two
+  // co-resident models contend, so some task found its resource busy.
+  const long long events = registry.counter_value("serve.events.processed");
+  const long long requeued = registry.counter_value("serve.events.requeued");
+  EXPECT_GE(events, result.tasks_executed + result.offered());
+  EXPECT_GT(requeued, 0);
+  EXPECT_LT(requeued, events);
+
+  // The event counters are a deterministic work measure: a sharded fleet
+  // adds every shard engine's counts into the same registry, and the sums
+  // (with every other counter) are identical at --threads 1 and 4.
+  const auto sharded_counters = [&fleet](int threads) {
+    MetricsRegistry fleet_registry;
+    MetricsRegistry* previous = install_metrics(&fleet_registry);
+    serve::FleetOptions options;
+    options.shards = 4;
+    options.threads = threads;
+    const serve::FleetScheduler scheduler(fleet.topo, fleet.refs, options);
+    (void)scheduler.run(
+        serve::poisson_arrivals({1.0, 1.0}, 320.0, Seconds(1.0), 11));
+    install_metrics(previous);
+    return fleet_registry.counter_values();
+  };
+  const auto serial = sharded_counters(1);
+  const auto threaded = sharded_counters(4);
+  EXPECT_EQ(serial, threaded);
+  const auto value_of = [&serial](const std::string& name) {
+    for (const auto& [key, value] : serial) {
+      if (key == name) return value;
+    }
+    return -1LL;
+  };
+  EXPECT_GT(value_of("serve.events.processed"), 0);
+  EXPECT_GT(value_of("serve.events.requeued"), 0);
 }
 
 }  // namespace

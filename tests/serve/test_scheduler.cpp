@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "mars/plan/engines.h"
@@ -351,6 +352,23 @@ TEST_F(SchedulerTest, RejectsBadRequests) {
                InvalidArgument);
   EXPECT_THROW((void)OnlineScheduler(topo_, std::vector<ServedModel>{}),
                InvalidArgument);
+}
+
+TEST_F(SchedulerTest, RejectsModelViewsTargetingUnknownAccelerators) {
+  sim::TaskGraph stray;
+  const sim::TaskId load = stray.add_transfer(sim::kHost, 0, Bytes(1e3), "in");
+  stray.add_compute(topo_.size(), milliseconds(1.0), "stray", {load});
+  const sim::FlatTaskGraph flat = sim::FlatTaskGraph::from(stray);
+  const OnlineScheduler views(
+      topo_, std::vector<ServedModel>{{"stray", &flat, milliseconds(1.0)}});
+  try {
+    (void)views.run({at(0, 0.0)});
+    FAIL() << "expected InvalidArgument";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("compute task 1 runs on accelerator 8"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST_F(SchedulerTest, ClosedLoopAdmissionNeedsPositiveThink) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "mars/topology/presets.h"
 #include "mars/util/error.h"
 
@@ -157,6 +159,39 @@ TEST(TaskGraphValidation, RejectsBadInput) {
   const TaskId a = tg.add_compute(0, Seconds(1.0), "ok");
   EXPECT_EQ(a, 0);
   EXPECT_THROW((void)tg.task(7), InvalidArgument);
+}
+
+// Every task target is checked once, where the graph enters the replay
+// kernel, before any timeline is indexed with it.
+TEST_F(ExecutorTest, RejectsComputeOnUnknownAccelerator) {
+  TaskGraph tg;
+  tg.add_compute(0, milliseconds(1.0), "ok");
+  tg.add_compute(topo_.size() + 3, milliseconds(1.0), "stray");
+  try {
+    (void)exec_.run(tg);
+    FAIL() << "expected InvalidArgument";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("compute task 1 runs on accelerator 11"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST_F(ExecutorTest, RejectsTransferEndpointOutsideTopology) {
+  TaskGraph to_nowhere;
+  to_nowhere.add_transfer(0, topo_.size(), Bytes(1e3), "stray dst");
+  EXPECT_THROW((void)exec_.run(to_nowhere), InvalidArgument);
+  TaskGraph from_nowhere;
+  from_nowhere.add_compute(0, milliseconds(1.0), "ok");
+  from_nowhere.add_transfer(topo_.size() + 1, kHost, Bytes(1e3), "stray src");
+  try {
+    (void)exec_.run(from_nowhere);
+    FAIL() << "expected InvalidArgument";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("transfer task 1 moves 9 -> -1"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

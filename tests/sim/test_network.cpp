@@ -53,6 +53,13 @@ TEST_F(NetworkTest, RejectsDegenerateRoutes) {
   EXPECT_THROW((void)net_.route(kHost, kHost), InvalidArgument);
 }
 
+TEST_F(NetworkTest, RejectsEndpointsOutsideTopology) {
+  EXPECT_THROW((void)net_.route(0, topo_.size()), InvalidArgument);
+  EXPECT_THROW((void)net_.route(topo_.size() + 2, 0), InvalidArgument);
+  EXPECT_THROW((void)net_.route(kHost, topo_.size()), InvalidArgument);
+  EXPECT_THROW((void)net_.route(kHost - 1, 0), InvalidArgument);
+}
+
 TEST_F(NetworkTest, ChannelCountCoversLinksAndHost) {
   // Two 4-cliques: 2 * (4*3) directed link channels + 8 up + 8 down.
   EXPECT_EQ(net_.num_channels(), 24 + 16);
