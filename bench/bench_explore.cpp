@@ -30,6 +30,7 @@
 #include <unordered_map>
 
 #include "mars/explore/engine.h"
+#include "mars/util/fnv1a.h"
 #include "mars/util/rng.h"
 #include "mars/util/worker_pool.h"
 
@@ -37,12 +38,7 @@ namespace mars::bench {
 namespace {
 
 std::uint64_t fnv1a(const std::string& text) {
-  std::uint64_t hash = 1469598103934665603ull;
-  for (const unsigned char c : text) {
-    hash ^= c;
-    hash *= 1099511628211ull;
-  }
-  return hash;
+  return util::fnv1a::mix(util::fnv1a::kShortBasis, text);
 }
 
 /// One tuning for every method: a small fixed-budget inner GA (the smoke

@@ -8,29 +8,10 @@
 #include "mars/serve/workload.h"
 #include "mars/sim/executor.h"
 #include "mars/util/error.h"
-#include "mars/util/worker_pool.h"
+#include "mars/util/fnv1a.h"
+#include "mars/util/memo_batch.h"
 
 namespace mars::comap {
-namespace {
-
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-std::uint64_t fnv1a(const std::string& bytes, std::uint64_t h = kFnvOffset) {
-  for (const char c : bytes) {
-    h = (h ^ static_cast<unsigned char>(c)) * kFnvPrime;
-  }
-  return h;
-}
-
-std::uint64_t fnv1a(std::uint64_t value, std::uint64_t h) {
-  for (int i = 0; i < 8; ++i) {
-    h = (h ^ ((value >> (8 * i)) & 0xff)) * kFnvPrime;
-  }
-  return h;
-}
-
-}  // namespace
 
 ServingObjective::ServingObjective(const CoMapProblem& problem)
     : problem_(&problem),
@@ -88,7 +69,8 @@ std::uint64_t ServingObjective::mapping_signature(std::size_t t,
       core::to_json(mapping, planners_[t].spine(), *problem_->designs,
                     problem_->adaptive)
           .dump();
-  return fnv1a(bytes, fnv1a(static_cast<std::uint64_t>(t), kFnvOffset));
+  return util::fnv1a::mix(
+      util::fnv1a::mix_u64(util::fnv1a::kShortBasis, t), bytes);
 }
 
 const ServingObjective::Artifact& ServingObjective::artifact(
@@ -144,85 +126,51 @@ ServingObjective::Score ServingObjective::rollout(
   return score;
 }
 
-ServingObjective::Score ServingObjective::score(const CandidatePlan& plan) {
+std::uint64_t ServingObjective::candidate(
+    const CandidatePlan& plan, std::vector<const Artifact*>& parts) {
   MARS_CHECK_ARG(plan.size() == planners_.size(),
                  "candidate carries " << plan.size() << " mappings for "
                                       << planners_.size() << " tenants");
-  std::vector<const Artifact*> parts(plan.size());
-  std::uint64_t combined = kFnvOffset;
+  parts.resize(plan.size());
+  std::uint64_t key = util::fnv1a::kShortBasis;
   for (std::size_t t = 0; t < plan.size(); ++t) {
     const std::uint64_t sig = mapping_signature(t, plan[t]);
     parts[t] = &artifact(t, plan[t], sig);
-    combined = fnv1a(sig, combined);
+    key = util::fnv1a::mix_u64(key, sig);
   }
-  if (const auto it = rollouts_.find(combined); it != rollouts_.end()) {
+  return key;
+}
+
+ServingObjective::Score ServingObjective::score(const CandidatePlan& plan) {
+  std::vector<const Artifact*> parts;
+  const std::uint64_t key = candidate(plan, parts);
+  if (const auto it = rollouts_.find(key); it != rollouts_.end()) {
     rollout_hits_->add();
     return it->second;
   }
   rollout_misses_->add();
-  return rollouts_.emplace(combined, rollout(parts)).first->second;
+  return rollouts_.emplace(key, rollout(parts)).first->second;
 }
 
 std::vector<double> ServingObjective::score_batch(
     const std::vector<CandidatePlan>& plans, util::WorkerPool* pool) {
-  // Phase 1 (serial): signatures, artifact materialisation, and the
-  // hit/miss sweep — the first appearance of a combined signature in the
-  // batch is the miss, every later one a hit, exactly as a serial
-  // left-to-right score() sweep would charge them.
+  // Artifacts materialise during the serial probe sweep (they charge
+  // comap.proto.*); only the rollouts are priced on the pool.
+  util::MemoBatch<decltype(rollouts_), std::vector<const Artifact*>> batch(
+      rollouts_);
   std::vector<std::uint64_t> keys(plans.size());
-  struct Missing {
-    std::uint64_t key;
-    std::vector<const Artifact*> parts;
-  };
-  std::vector<Missing> missing;
   for (std::size_t i = 0; i < plans.size(); ++i) {
-    MARS_CHECK_ARG(plans[i].size() == planners_.size(),
-                   "candidate carries " << plans[i].size() << " mappings for "
-                                        << planners_.size() << " tenants");
-    std::vector<const Artifact*> parts(plans[i].size());
-    std::uint64_t combined = kFnvOffset;
-    for (std::size_t t = 0; t < plans[i].size(); ++t) {
-      const std::uint64_t sig = mapping_signature(t, plans[i][t]);
-      parts[t] = &artifact(t, plans[i][t], sig);
-      combined = fnv1a(sig, combined);
-    }
-    keys[i] = combined;
-    const bool cached = rollouts_.contains(combined);
-    bool in_batch = false;
-    if (!cached) {
-      for (const Missing& m : missing) {
-        if (m.key == combined) {
-          in_batch = true;
-          break;
-        }
-      }
-    }
-    if (cached || in_batch) {
-      rollout_hits_->add();
-    } else {
-      rollout_misses_->add();
-      missing.push_back(Missing{combined, std::move(parts)});
-    }
+    std::vector<const Artifact*> parts;
+    keys[i] = candidate(plans[i], parts);
+    batch.probe(keys[i], [&parts] { return std::move(parts); });
   }
-
-  // Phase 2: price the deduped missing rollouts — each a pure function of
-  // its artifact set and the shared arrival stream — in parallel.
-  std::vector<Score> priced(missing.size());
-  const auto price = [&](std::size_t begin, std::size_t end) {
-    for (std::size_t j = begin; j < end; ++j) {
-      priced[j] = rollout(missing[j].parts);
-    }
-  };
-  if (pool != nullptr && missing.size() > 1) {
-    pool->parallel_for(missing.size(), price);
-  } else {
-    price(0, missing.size());
-  }
-
-  // Phase 3 (serial): publish in first-seen order, then read back.
-  for (std::size_t j = 0; j < missing.size(); ++j) {
-    rollouts_.emplace(missing[j].key, priced[j]);
-  }
+  rollout_hits_->add(batch.hits());
+  rollout_misses_->add(batch.misses());
+  batch.publish(
+      [this](const std::vector<const Artifact*>& parts) {
+        return rollout(parts);
+      },
+      pool);
   std::vector<double> fitness(plans.size());
   for (std::size_t i = 0; i < plans.size(); ++i) {
     fitness[i] = rollouts_.at(keys[i]).fitness;

@@ -14,16 +14,14 @@
 // (shed requests included), tie-broken by a bounded-[0, 1) transform of
 // the fleet p99 so equal-goodput candidates prefer the lower tail.
 //
-// Determinism contract (the PR 5 dedupe-then-parallel-price discipline):
-// score_batch sweeps candidate signatures serially (charging the first
-// appearance of a signature as the miss and every later one as a hit),
-// materialises missing per-tenant artifacts serially, prices the deduped
-// missing rollouts in parallel on a util::WorkerPool (each rollout is a
-// pure function of its candidate + the shared arrival stream), and
-// publishes serially in first-seen order. Fitness values AND the
-// hit/miss counters are byte-identical at any thread count. Candidate
-// identity is an FNV-1a hash of the lossless core/serialize.* JSON form,
-// so two structurally equal mappings always share one rollout.
+// Determinism contract: score_batch prices its rollouts through one
+// util::MemoBatch (util/memo_batch.h). Per-tenant artifacts materialise
+// serially while the batch is probed; the deduped missing rollouts (each
+// a pure function of its candidate + the shared arrival stream) run on a
+// util::WorkerPool. Fitness values AND the hit/miss counters are
+// byte-identical at any thread count. Candidate identity is an FNV-1a
+// hash (util/fnv1a.h) of the lossless core/serialize.* JSON form, so two
+// structurally equal mappings always share one rollout.
 //
 // Rollouts run with SchedulerOptions::quiet — a search replays thousands
 // of candidate fleets; none of them may leak into the user's trace or
@@ -43,6 +41,7 @@
 #include "mars/plan/planner.h"
 #include "mars/serve/scheduler.h"
 #include "mars/sim/task_graph.h"
+#include "mars/util/fnv1a.h"
 
 namespace mars::util {
 class WorkerPool;
@@ -124,6 +123,10 @@ class ServingObjective {
   /// FNV-1a over the lossless serialised form of tenant `t`'s mapping.
   [[nodiscard]] std::uint64_t mapping_signature(std::size_t t,
                                                 const core::Mapping& mapping);
+  /// The combined signature of `plan` (its rollout memo key); fills
+  /// `parts` with one artifact per tenant. Serial-phase only.
+  [[nodiscard]] std::uint64_t candidate(const CandidatePlan& plan,
+                                        std::vector<const Artifact*>& parts);
   /// Artifact for (tenant, mapping), built on first use (charges a proto
   /// hit/miss). Serial-phase only: the memo mutates.
   [[nodiscard]] const Artifact& artifact(std::size_t t,
@@ -141,7 +144,7 @@ class ServingObjective {
   /// (tenant, mapping-signature) -> compiled artifact.
   struct ArtifactKeyHash {
     std::size_t operator()(const std::pair<std::size_t, std::uint64_t>& k) const {
-      return (k.second ^ k.first) * 1099511628211ull;
+      return util::fnv1a::word(k.second, k.first);
     }
   };
   std::unordered_map<std::pair<std::size_t, std::uint64_t>,

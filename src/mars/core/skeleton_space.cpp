@@ -1,11 +1,10 @@
 #include "mars/core/skeleton_space.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "mars/core/baseline.h"
 #include "mars/util/error.h"
-#include "mars/util/worker_pool.h"
+#include "mars/util/memo_batch.h"
 
 namespace mars::core {
 namespace {
@@ -57,8 +56,7 @@ SkeletonSpace::~SkeletonSpace() {
 
 const SecondLevelResult& SkeletonSpace::second_level_for(
     const LayerAssignment& skeleton) {
-  const CacheKey key{skeleton.begin, skeleton.end, skeleton.accs,
-                     skeleton.design};
+  const CacheKey key = key_of(skeleton);
   auto it = cache_.find(key);
   if (it != cache_.end()) {
     memo_hits_->add();
@@ -81,69 +79,47 @@ double SkeletonSpace::fitness(const Skeleton& skeleton) {
       .count();
 }
 
+SkeletonSpace::CacheKey SkeletonSpace::key_of(const LayerAssignment& set) {
+  return CacheKey{set.begin, set.end, set.accs, set.design};
+}
+
+void SkeletonSpace::probe(PriceBatch& batch, const LayerAssignment& set,
+                          std::size_t s, std::vector<Seconds>& latencies,
+                          std::vector<std::size_t>& pending) const {
+  if (const SecondLevelResult* hit =
+          batch.probe(key_of(set), [&set] { return &set; })) {
+    latencies[s] = hit->cost.penalized;
+  } else {
+    pending.push_back(s);
+  }
+}
+
+void SkeletonSpace::price(PriceBatch& batch, util::WorkerPool* pool) {
+  memo_hits_->add(batch.hits());
+  memo_misses_->add(batch.misses());
+  batch.publish(
+      [this](const LayerAssignment* set) { return second_.greedy(*set); },
+      pool);
+}
+
 std::vector<std::vector<Seconds>> SkeletonSpace::price_batch(
     const std::vector<Skeleton>& skeletons, util::WorkerPool* pool) {
-  // Phase 1 (serial): one left-to-right sweep over the batch collecting
-  // the keys the cache does not hold yet. The first appearance of a key
-  // is charged as the miss (and carries the LayerAssignment the greedy
-  // search will run on), every later appearance as a hit — the exact
-  // counts a serial evaluation would record. Cached latencies are read
-  // out during the same probe; only keys priced this batch wait for a
-  // second read after the publish.
-  std::vector<LayerAssignment> missing;
-  std::unordered_set<CacheKey, CacheKeyHash> scheduled;
+  // Memo hits read their latency during the probe; slots priced by this
+  // batch wait in `pending` and are read back from the warm cache.
+  PriceBatch batch(cache_);
   std::vector<std::vector<Seconds>> latencies(skeletons.size());
   std::vector<std::vector<std::size_t>> pending(skeletons.size());
   for (std::size_t i = 0; i < skeletons.size(); ++i) {
     const auto& sets = skeletons[i].sets;
     latencies[i].resize(sets.size());
     for (std::size_t s = 0; s < sets.size(); ++s) {
-      const LayerAssignment& set = sets[s];
-      const CacheKey key{set.begin, set.end, set.accs, set.design};
-      if (const auto it = cache_.find(key); it != cache_.end()) {
-        memo_hits_->add();
-        latencies[i][s] = it->second.cost.penalized;
-        continue;
-      }
-      if (scheduled.contains(key)) {
-        memo_hits_->add();
-      } else {
-        memo_misses_->add();
-        scheduled.insert(key);
-        missing.push_back(set);
-      }
-      pending[i].push_back(s);
+      probe(batch, sets[s], s, latencies[i], pending[i]);
     }
   }
-
-  // Phase 2 (parallel): price the missing keys. greedy() is a pure const
-  // function of the key, so any assignment of keys to threads yields the
-  // same results; the pool's static partitioning makes it deterministic
-  // by construction.
-  std::vector<SecondLevelResult> computed(missing.size());
-  const auto price = [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      computed[i] = second_.greedy(missing[i]);
-    }
-  };
-  if (pool != nullptr) {
-    pool->parallel_for(missing.size(), price);
-  } else {
-    price(0, missing.size());
-  }
-
-  // Phase 3 (serial): publish in first-seen order, then fill the latency
-  // slots that waited on this batch's pricing from the now-warm cache.
-  for (std::size_t i = 0; i < missing.size(); ++i) {
-    const LayerAssignment& set = missing[i];
-    cache_.emplace(CacheKey{set.begin, set.end, set.accs, set.design},
-                   std::move(computed[i]));
-  }
+  price(batch, pool);
   for (std::size_t i = 0; i < skeletons.size(); ++i) {
     for (const std::size_t s : pending[i]) {
-      const LayerAssignment& set = skeletons[i].sets[s];
-      latencies[i][s] = cache_.at({set.begin, set.end, set.accs, set.design})
-                            .cost.penalized;
+      latencies[i][s] = cache_.at(key_of(skeletons[i].sets[s])).cost.penalized;
     }
   }
   return latencies;
@@ -164,11 +140,14 @@ std::vector<double> SkeletonSpace::fitness_batch(
 }
 
 std::vector<Skeleton> SkeletonSpace::decode_batch(
-    const std::vector<ga::Genome>& genomes, util::WorkerPool* pool) const {
+    const std::vector<ga::Genome>& genomes, util::WorkerPool* pool,
+    std::vector<FirstLevelCodec::DecodeTrace>* traces) const {
   std::vector<Skeleton> skeletons(genomes.size());
+  if (traces != nullptr) traces->resize(genomes.size());
   const auto decode = [&](std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) {
-      skeletons[i] = codec_.decode(genomes[i]);
+      skeletons[i] = codec_.decode(
+          genomes[i], traces != nullptr ? &(*traces)[i] : nullptr);
     }
   };
   if (pool != nullptr) {
@@ -184,19 +163,8 @@ std::vector<double> SkeletonSpace::fitness_batch(
   // Decode with traces so every priced genome leaves an EvalRecord behind:
   // a later fitness_delta_batch() generation can then mutate any member of
   // this cohort incrementally.
-  std::vector<Skeleton> skeletons(genomes.size());
-  std::vector<FirstLevelCodec::DecodeTrace> traces(genomes.size());
-  const auto decode = [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      skeletons[i] = codec_.decode(genomes[i], &traces[i]);
-    }
-  };
-  if (pool != nullptr) {
-    pool->parallel_for(genomes.size(), decode);
-  } else {
-    decode(0, genomes.size());
-  }
-
+  std::vector<FirstLevelCodec::DecodeTrace> traces;
+  std::vector<Skeleton> skeletons = decode_batch(genomes, pool, &traces);
   std::vector<std::vector<Seconds>> latencies = price_batch(skeletons, pool);
   std::vector<double> fitnesses(genomes.size());
   for (std::size_t i = 0; i < genomes.size(); ++i) {
@@ -219,14 +187,14 @@ std::vector<double> SkeletonSpace::fitness_delta_batch(
   const std::size_t n = children.size();
 
   // Phase 1 (serial): decode each child — incrementally when its parent's
-  // record is on hand — and run the same left-to-right hit/miss sweep as
-  // price_batch. When retrace() reports the move left the decode trace
-  // untouched (the common case for small engine moves), the child's
-  // skeleton is the parent's, so the whole evaluation short-circuits:
-  // every set is a hit and the fitness is the parent's double verbatim —
-  // exactly what re-aggregating the identical sets and latencies would
-  // return — and the child's record aliases the parent payload without
-  // assembling, copying, or aggregating anything. For genuinely changed
+  // record is on hand — and probe one PriceBatch, as price_batch does.
+  // When retrace() reports the move left the decode trace untouched (the
+  // common case for small engine moves), the child's skeleton is the
+  // parent's, so the whole evaluation short-circuits: every set is a hit
+  // and the fitness is the parent's double verbatim — exactly what
+  // re-aggregating the identical sets and latencies would return — and
+  // the child's record aliases the parent payload without assembling,
+  // copying, or aggregating anything. For genuinely changed
   // skeletons, boundary moves shift only the sets between the two touched
   // entries, so the positionally unchanged prefix and suffix of the set
   // list reuse the parent's latencies and are charged as hits outright:
@@ -241,11 +209,9 @@ std::vector<double> SkeletonSpace::fitness_delta_batch(
   std::vector<std::vector<std::size_t>> pending(n);
   std::vector<EvalRecord> parent_records(parents.size());
   std::vector<char> parent_looked(parents.size(), 0);
-  std::vector<LayerAssignment> missing;
-  std::unordered_set<CacheKey, CacheKeyHash> scheduled;
+  PriceBatch batch(cache_);
   const auto same_key = [](const LayerAssignment& a, const LayerAssignment& b) {
-    return a.begin == b.begin && a.end == b.end && a.accs == b.accs &&
-           a.design == b.design;
+    return key_of(a) == key_of(b);
   };
   for (std::size_t i = 0; i < n; ++i) {
     MARS_CHECK_ARG(deltas[i].parent < parents.size(),
@@ -310,47 +276,15 @@ std::vector<double> SkeletonSpace::fitness_delta_batch(
       memo_hits_->add(static_cast<long long>(prefix + suffix));
     }
     for (std::size_t s = prefix; s < count - suffix; ++s) {
-      const LayerAssignment& set = sets[s];
-      const CacheKey key{set.begin, set.end, set.accs, set.design};
-      if (const auto it = cache_.find(key); it != cache_.end()) {
-        memo_hits_->add();
-        latencies[i][s] = it->second.cost.penalized;
-        continue;
-      }
-      if (scheduled.contains(key)) {
-        memo_hits_->add();
-      } else {
-        memo_misses_->add();
-        scheduled.insert(key);
-        missing.push_back(set);
-      }
-      pending[i].push_back(s);
+      probe(batch, sets[s], s, latencies[i], pending[i]);
     }
   }
 
-  // Phase 2 (parallel): identical to price_batch — the genuinely new keys
-  // fan across the pool.
-  std::vector<SecondLevelResult> computed(missing.size());
-  const auto price = [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      computed[i] = second_.greedy(missing[i]);
-    }
-  };
-  if (pool != nullptr) {
-    pool->parallel_for(missing.size(), price);
-  } else {
-    price(0, missing.size());
-  }
-
-  // Phase 3 (serial): publish in first-seen order, then aggregate.
+  // Phases 2-3: price and publish the new keys, then aggregate.
   // Parent-matched sets reuse the recorded latency — the exact double
   // copied out of the same cache entry — and everything else reads the
   // warm cache.
-  for (std::size_t i = 0; i < missing.size(); ++i) {
-    const LayerAssignment& set = missing[i];
-    cache_.emplace(CacheKey{set.begin, set.end, set.accs, set.design},
-                   std::move(computed[i]));
-  }
+  price(batch, pool);
   std::vector<double> fitnesses(n);
   for (std::size_t i = 0; i < n; ++i) {
     if (unchanged[i]) {
@@ -362,9 +296,7 @@ std::vector<double> SkeletonSpace::fitness_delta_batch(
       continue;
     }
     for (const std::size_t s : pending[i]) {
-      const LayerAssignment& set = skeletons[i].sets[s];
-      latencies[i][s] = cache_.at({set.begin, set.end, set.accs, set.design})
-                            .cost.penalized;
+      latencies[i][s] = cache_.at(key_of(skeletons[i].sets[s])).cost.penalized;
     }
     fitnesses[i] = evaluator_.analytical()
                        .aggregate_makespan(skeletons[i].sets, latencies[i])

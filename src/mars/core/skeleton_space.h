@@ -14,15 +14,14 @@
 // SkeletonSpace across a search amortises second-level work exactly as
 // Mars::cache_ used to.
 //
-// Parallelism: fitness_batch() prices many skeletons at once, fanning the
-// uncached second-level searches across a util::WorkerPool. Results are
-// byte-identical to serial evaluation (the greedy oracle is a pure
-// function of the cache key), and so are the hit/miss counters: the
-// first appearance of a key in a batch is the miss, every later one a
-// hit, exactly as a serial left-to-right sweep would count them.
+// Parallelism: fitness_batch() prices many skeletons at once through one
+// util::MemoBatch (util/memo_batch.h), which fans the uncached
+// second-level searches across a util::WorkerPool. The greedy oracle is a
+// pure function of the cache key, so results and the hit/miss counters
+// are byte-identical to serial evaluation.
 #pragma once
 
-#include <cstring>
+#include <bit>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -32,9 +31,12 @@
 #include "mars/core/first_level.h"
 #include "mars/core/second_level.h"
 #include "mars/obs/metrics.h"
+#include "mars/util/fnv1a.h"
 
 namespace mars::util {
 class WorkerPool;
+template <class Memo, class Input>
+class MemoBatch;
 }
 
 namespace mars::core {
@@ -71,12 +73,9 @@ class SkeletonSpace {
   /// strategies (memoised) — the fitness every skeleton search minimises.
   [[nodiscard]] double fitness(const Skeleton& skeleton);
 
-  /// fitness() over a whole batch. When `pool` is non-null the uncached
-  /// second-level searches (the expensive part — each is an independent
-  /// pure function of its key) run across the pool; the dedupe, the cache
-  /// insertion order, and the returned values are identical to evaluating
-  /// the batch serially, at any thread count. `pool == nullptr` runs the
-  /// same code path single-threaded.
+  /// fitness() over a whole batch, priced through one util::MemoBatch:
+  /// values, cache contents and counters equal a serial sweep at any
+  /// thread count, and `pool == nullptr` runs single-threaded.
   [[nodiscard]] std::vector<double> fitness_batch(
       const std::vector<Skeleton>& skeletons, util::WorkerPool* pool = nullptr);
 
@@ -87,10 +86,11 @@ class SkeletonSpace {
   [[nodiscard]] std::vector<double> fitness_batch(
       const std::vector<ga::Genome>& genomes, util::WorkerPool* pool = nullptr);
 
-  /// The parallel decode underlying the genome overload.
+  /// The parallel decode underlying the genome overload; fills `traces`
+  /// (one per genome) when given.
   [[nodiscard]] std::vector<Skeleton> decode_batch(
-      const std::vector<ga::Genome>& genomes,
-      util::WorkerPool* pool = nullptr) const;
+      const std::vector<ga::Genome>& genomes, util::WorkerPool* pool = nullptr,
+      std::vector<FirstLevelCodec::DecodeTrace>* traces = nullptr) const;
 
   /// fitness_batch(children, pool), but told how each child differs from a
   /// parent genome in `parents`. A child whose parent this object priced
@@ -147,17 +147,18 @@ class SkeletonSpace {
   /// solely as speed.
   struct CacheKeyHash {
     std::size_t operator()(const CacheKey& key) const {
-      std::size_t h = 1469598103934665603ull;
-      const auto mix = [&h](unsigned long long bits) {
-        h = (h ^ bits) * 1099511628211ull;
-      };
-      mix(static_cast<unsigned long long>(static_cast<unsigned>(key.begin)));
-      mix(static_cast<unsigned long long>(static_cast<unsigned>(key.end)));
-      mix(static_cast<unsigned long long>(key.accs));
-      mix(static_cast<unsigned long long>(static_cast<unsigned>(key.design)));
+      using util::fnv1a::word;
+      std::uint64_t h = util::fnv1a::kShortBasis;
+      h = word(h, static_cast<unsigned>(key.begin));
+      h = word(h, static_cast<unsigned>(key.end));
+      h = word(h, static_cast<std::uint64_t>(key.accs));
+      h = word(h, static_cast<unsigned>(key.design));
       return h;
     }
   };
+  using Cache = std::unordered_map<CacheKey, SecondLevelResult, CacheKeyHash>;
+  /// One batch of second-level lookups; a missed key is priced from its set.
+  using PriceBatch = util::MemoBatch<Cache, const LayerAssignment*>;
 
   /// One priced genome, kept so the next generation's mutants can reuse
   /// its decode trace and per-set latencies. Invariant: every set of
@@ -179,10 +180,20 @@ class SkeletonSpace {
   [[nodiscard]] const SecondLevelResult& second_level_for(
       const LayerAssignment& skeleton);
 
-  /// Phases 1-3 shared by every batch path: the serial hit/miss key sweep,
-  /// the (optionally pooled) greedy pricing of deduped missing keys, the
-  /// first-seen-order publish, and the per-skeleton penalized latencies
-  /// read back from the warm cache.
+  [[nodiscard]] static CacheKey key_of(const LayerAssignment& set);
+
+  /// Probes set `s` of one skeleton: a cached latency lands in
+  /// latencies[s] now, otherwise `s` joins `pending` for the read-back
+  /// after price().
+  void probe(PriceBatch& batch, const LayerAssignment& set, std::size_t s,
+             std::vector<Seconds>& latencies,
+             std::vector<std::size_t>& pending) const;
+  /// Charges the batch's hit/miss counts, then greedy-prices and
+  /// publishes its misses.
+  void price(PriceBatch& batch, util::WorkerPool* pool);
+
+  /// The per-skeleton penalized latencies of a whole batch, every set
+  /// priced through one PriceBatch.
   [[nodiscard]] std::vector<std::vector<Seconds>> price_batch(
       const std::vector<Skeleton>& skeletons, util::WorkerPool* pool);
 
@@ -196,7 +207,7 @@ class SkeletonSpace {
   FirstLevelCodec codec_;
   SecondLevelSearch second_;
   MappingEvaluator evaluator_;
-  std::unordered_map<CacheKey, SecondLevelResult, CacheKeyHash> cache_;
+  Cache cache_;
   /// Instance metric registry backing the counters below (one per
   /// SkeletonSpace so per-search counts stay exact); the destructor folds
   /// it into the installed global registry. The Counter pointers are
@@ -210,17 +221,15 @@ class SkeletonSpace {
   obs::Counter* record_evictions_;
   obs::Counter* delta_unchanged_;
   obs::Counter* delta_bails_;
-  /// FNV-1a over the genome's byte representation. Hashing bit patterns is
+  /// FNV-1a word steps over the genes' bit patterns. Hashing bit patterns is
   /// sound here: equality stays the exact operator== on the doubles, and a
   /// key the hash cannot find again (e.g. a NaN gene) merely forces the
   /// exact full-path fallback.
   struct GenomeHash {
     std::size_t operator()(const ga::Genome& genome) const {
-      std::size_t h = 1469598103934665603ull;
+      std::uint64_t h = util::fnv1a::kShortBasis;
       for (const double gene : genome) {
-        unsigned long long bits;
-        std::memcpy(&bits, &gene, sizeof bits);
-        h = (h ^ bits) * 1099511628211ull;
+        h = util::fnv1a::word(h, std::bit_cast<std::uint64_t>(gene));
       }
       return h;
     }

@@ -13,8 +13,8 @@
 //     against) is priced in generation 0, before the budget is polled —
 //     the emitted front always weakly dominates every preset.
 //   * All RNG draws happen serially while breeding; pricing is the only
-//     parallel stage (dedupe-then-parallel-price inside PointPricer), so
-//     results are byte-identical at any `threads`.
+//     parallel stage (PointPricer's util::MemoBatch), so results are
+//     byte-identical at any `threads`.
 //
 // The budget counts *distinct hardware points priced* (each one inner
 // search); it is polled between generations, like the plan engines poll

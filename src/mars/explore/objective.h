@@ -7,13 +7,9 @@
 //   cost     — relative hardware cost of the point (hardware_cost below).
 //
 // PointPricer owns the expensive part: one inner plan::SearchEngine run
-// per distinct hardware point. It follows the PR 5 dedupe-then-parallel-
-// price discipline — a serial sweep dedupes the requested points against
-// the memo (first appearance = miss), the distinct misses are priced
-// concurrently on a util::WorkerPool with results written by index, and
-// outcomes are published serially in first-seen order — so priced
-// outcomes (and everything derived from them) are byte-identical at any
-// --threads. An optional serve::MappingCache composes transparently: the
+// per distinct hardware point, priced through a util::MemoBatch
+// (util/memo_batch.h) keyed by point spec — so priced outcomes (and
+// everything derived from them) are byte-identical at any --threads. An optional serve::MappingCache composes transparently: the
 // per-point fingerprint is the same one `mars_map map` and the serving
 // stack use, so explore warms the same cache it reads.
 #pragma once
@@ -68,7 +64,7 @@ struct PointOutcome {
   bool memory_ok = true;
   std::string engine;          // inner engine name
   std::string search_spec;     // inner engine identity incl. budget
-  std::string mapping_digest;  // FNV-1a over the winner's rendering
+  std::string mapping_digest;  // FNV-1a (util/fnv1a.h) of the rendering
   bool from_cache = false;
   long long evaluations = 0;  // inner search evaluations (0 on cache hit)
 

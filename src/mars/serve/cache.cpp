@@ -2,7 +2,6 @@
 
 #include <unistd.h>
 
-#include <cinttypes>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -10,6 +9,7 @@
 
 #include "mars/core/serialize.h"
 #include "mars/util/error.h"
+#include "mars/util/fnv1a.h"
 #include "mars/util/logging.h"
 
 namespace mars::serve {
@@ -17,18 +17,15 @@ namespace {
 
 constexpr long long kCacheFormat = 1;
 
-/// 64-bit FNV-1a. The canonical text below feeds through this; the exact
-/// constant choice only has to be stable within the cache directory.
+/// The fingerprint's field encoding over util/fnv1a.h: every field is
+/// canonical text followed by a 0x1f separator. Cache file names embed
+/// the result, so this encoding must never change.
 class Fnv1a {
  public:
   void mix(const std::string& text) {
-    for (const char c : text) {
-      hash_ ^= static_cast<unsigned char>(c);
-      hash_ *= 0x100000001b3ULL;
-    }
+    hash_ = util::fnv1a::mix(hash_, text);
     // Separate fields so ("ab", "c") and ("a", "bc") differ.
-    hash_ ^= 0x1f;
-    hash_ *= 0x100000001b3ULL;
+    hash_ = util::fnv1a::word(hash_, 0x1f);
   }
 
   void mix(long long value) { mix(std::to_string(value)); }
@@ -40,14 +37,10 @@ class Fnv1a {
     mix(std::string(buffer));
   }
 
-  [[nodiscard]] std::string hex() const {
-    char buffer[24];
-    std::snprintf(buffer, sizeof buffer, "%016" PRIx64, hash_);
-    return buffer;
-  }
+  [[nodiscard]] std::string hex() const { return util::fnv1a::hex(hash_); }
 
  private:
-  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+  std::uint64_t hash_ = util::fnv1a::kBasis;
 };
 
 }  // namespace

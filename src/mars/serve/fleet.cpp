@@ -8,23 +8,11 @@
 #include "mars/obs/metrics.h"
 #include "mars/obs/trace.h"
 #include "mars/util/error.h"
+#include "mars/util/fnv1a.h"
 #include "mars/util/worker_pool.h"
 
 namespace mars::serve {
 namespace {
-
-/// FNV-1a, 64-bit. Fed explicit little-endian bytes so the hash — and
-/// therefore shard routing and every downstream result — is identical
-/// across platforms.
-inline std::uint64_t fnv1a_int(std::uint64_t hash, int value) {
-  constexpr std::uint64_t kPrime = 1099511628211ull;
-  auto bits = static_cast<std::uint32_t>(value);
-  for (int i = 0; i < 4; ++i) {
-    hash ^= (bits >> (8 * i)) & 0xffu;
-    hash *= kPrime;
-  }
-  return hash;
-}
 
 /// A shard that received no traffic still contributes its (idle)
 /// accelerators to the merged fleet view.
@@ -52,8 +40,11 @@ FleetPartition partition_fleet(int accelerators, int shards) {
 
 int shard_of(int model, int request_id, int shards) {
   if (shards <= 1) return 0;
-  constexpr std::uint64_t kOffset = 1469598103934665603ull;
-  const std::uint64_t hash = fnv1a_int(fnv1a_int(kOffset, model), request_id);
+  using util::fnv1a::mix_u32;
+  const std::uint64_t hash =
+      mix_u32(mix_u32(util::fnv1a::kShortBasis,
+                      static_cast<std::uint32_t>(model)),
+              static_cast<std::uint32_t>(request_id));
   return static_cast<int>(hash % static_cast<std::uint64_t>(shards));
 }
 

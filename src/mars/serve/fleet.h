@@ -12,7 +12,7 @@
 // per-shard streams are merged back into a single ServeResult.
 //
 // Determinism contract: routing is a pure function of the request (FNV-1a
-// over model then id, platform-independent), each shard engine is the
+// from util/fnv1a.h over model then id, platform-independent), each shard engine is the
 // bit-deterministic OnlineScheduler, results are published by shard index
 // and merged with a stable sort keyed on simulated time (ties resolve to
 // shard-major, intra-shard order), so the merged result — and everything
@@ -70,8 +70,8 @@ struct FleetPartition {
 /// Throws util::InvalidArgument on non-positive inputs.
 [[nodiscard]] FleetPartition partition_fleet(int accelerators, int shards);
 
-/// Deterministic shard routing: FNV-1a (64-bit) over the little-endian
-/// bytes of `model` then `request_id`, reduced mod `shards`. A pure,
+/// Deterministic shard routing: FNV-1a (64-bit, util/fnv1a.h) over the
+/// little-endian bytes of `model` then `request_id`, reduced mod `shards`. A pure,
 /// platform-independent function — the same request always lands on the
 /// same shard, and requests with colliding ids across different models
 /// still spread.

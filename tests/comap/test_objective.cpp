@@ -130,6 +130,32 @@ TEST_F(ObjectiveTest, BatchChargesDuplicatesAsHits) {
   EXPECT_EQ(objective.rollout_hits(), 9);
 }
 
+/// A batch dominated by in-batch duplicates (the shape late GA
+/// generations produce) dedupes through a hash set, not a scan of the
+/// misses so far, and still charges exactly what serial score() calls do.
+TEST_F(ObjectiveTest, ManyInBatchDuplicatesCountLikeSerialScore) {
+  ServingObjective batched(problem_);
+  ServingObjective serial(problem_);
+  const std::vector<CandidatePlan> base = candidates(batched);
+  std::vector<CandidatePlan> plans;
+  for (std::size_t i = 0; i < 120; ++i) {
+    plans.push_back(base[(i * 7 + i / 5) % base.size()]);
+  }
+  util::WorkerPool pool(4);
+  const std::vector<double> fitness = batched.score_batch(plans, &pool);
+  ASSERT_EQ(fitness.size(), plans.size());
+  for (std::size_t i = 0; i < plans.size(); ++i) {
+    EXPECT_EQ(fitness[i], serial.score(plans[i]).fitness) << "candidate " << i;
+  }
+  EXPECT_EQ(batched.rollout_misses(), static_cast<long long>(base.size()));
+  EXPECT_EQ(batched.rollout_hits(),
+            static_cast<long long>(plans.size() - base.size()));
+  EXPECT_EQ(batched.rollout_hits(), serial.rollout_hits());
+  EXPECT_EQ(batched.rollout_misses(), serial.rollout_misses());
+  EXPECT_EQ(batched.proto_hits(), serial.proto_hits());
+  EXPECT_EQ(batched.proto_misses(), serial.proto_misses());
+}
+
 TEST_F(ObjectiveTest, WorkerPoolChangesNothing) {
   ServingObjective serial(problem_);
   ServingObjective threaded(problem_);

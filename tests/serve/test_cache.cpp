@@ -259,6 +259,18 @@ TEST_F(CacheTest, FingerprintCoversDesignParameters) {
   EXPECT_EQ(base, MappingCache::fingerprint(topo_, designs_, true, spec));
 }
 
+/// Existing --mapping-cache directories stay valid only while the
+/// fingerprint of a given configuration never moves: pin one literal.
+TEST_F(CacheTest, FingerprintIsPinned) {
+  EXPECT_EQ(MappingCache::fingerprint(topo_, designs_, /*adaptive=*/true,
+                                      "ga:golden-spec"),
+            "f89ddde278d249fd");
+  EXPECT_EQ(MappingCache::fingerprint(topology::f1_16xlarge(gbps(16.0)),
+                                      accel::h2h_designs(), /*adaptive=*/false,
+                                      ""),
+            "376bf74b7fc9b598");
+}
+
 TEST_F(CacheTest, CorruptEntryIsAMissNotAnError) {
   const MappingCache cache(dir_.string());
   const auto cold = plan(&cache, topo_);

@@ -74,6 +74,36 @@ TEST(ShardOf, RequestIdCollisionsAcrossModelsStillSpread) {
       << "every model mapped id 42 to the same shard";
 }
 
+/// Shard routing decides which replica group serves a request; a hasher
+/// change that moved it would silently change every fleet result. Pin a
+/// small table, including a large shard count that exposes 31 bits of
+/// the hash and negative ids that exercise the unsigned conversion.
+TEST(ShardOf, IsPinned) {
+  struct Row {
+    int model;
+    int id;
+    int shards;
+    int expected;
+  };
+  const Row rows[] = {
+      {0, 0, 4, 3},
+      {0, 1, 4, 2},
+      {1, 0, 4, 2},
+      {3, 42, 7, 5},
+      {2, 1000, 7, 3},
+      {15, 123456, 16, 11},
+      {0, -1, 5, 2},
+      {-3, 7, 5, 1},
+      {0, 0, 2147483647, 1066036449},
+      {5, 99999, 2147483647, 953356620},
+  };
+  for (const Row& row : rows) {
+    EXPECT_EQ(shard_of(row.model, row.id, row.shards), row.expected)
+        << "shard_of(" << row.model << ", " << row.id << ", " << row.shards
+        << ")";
+  }
+}
+
 TEST(PartitionFleet, DividesEvenly) {
   const FleetPartition partition = partition_fleet(8, 4);
   EXPECT_EQ(partition.shards, 4);
