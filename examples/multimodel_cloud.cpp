@@ -5,17 +5,18 @@
 // against MARS, and exports a Chrome trace of the MARS schedule
 // (open chrome://tracing or ui.perfetto.dev on mars_schedule.json).
 //
-// Build & run:  ./build/examples/multimodel_cloud [bandwidth-gbps]
+// Build & run:  ./build/example_multimodel_cloud [bandwidth-gbps]
 #include <fstream>
 #include <iostream>
+#include <string>
 
 #include "mars/accel/registry.h"
 #include "mars/core/evaluator.h"
 #include "mars/core/h2h.h"
 #include "mars/graph/models/models.h"
+#include "mars/obs/trace.h"
 #include "mars/plan/engines.h"
 #include "mars/plan/planner.h"
-#include "mars/sim/trace.h"
 #include "mars/topology/presets.h"
 
 int main(int argc, char** argv) {
@@ -47,12 +48,29 @@ int main(int argc, char** argv) {
             << "% vs H2H)\n\n"
             << core::describe(result.mapping, planner.spine(), designs, false);
 
-  // Export the executed schedule for visual inspection.
+  // Export the executed schedule for visual inspection: one simulated-clock
+  // track per accelerator and one per transfer endpoint pair.
   const core::MappingEvaluator evaluator(planner.problem());
   const core::MappingEvaluator::SimOutput output =
       evaluator.simulate(result.mapping);
+  const auto endpoint = [](int e) {
+    return e == sim::kHost ? std::string("host") : "acc " + std::to_string(e);
+  };
+  obs::TraceRecorder recorder;
+  for (const sim::Task& task : output.graph.tasks()) {
+    const sim::TaskTiming& timing =
+        output.result.timings[static_cast<std::size_t>(task.id)];
+    if (!timing.executed || task.kind == sim::TaskKind::kBarrier) continue;
+    const std::string track =
+        task.kind == sim::TaskKind::kCompute
+            ? endpoint(task.acc)
+            : "net " + endpoint(task.src) + "->" + endpoint(task.dst);
+    recorder.complete(obs::Clock::kSim,
+                      recorder.track(obs::Clock::kSim, track), task.label,
+                      timing.start, timing.end - timing.start);
+  }
   std::ofstream trace("mars_schedule.json");
-  trace << sim::to_chrome_trace(output.graph, output.result);
+  recorder.write(trace);
   std::cout << "\nwrote mars_schedule.json (" << output.graph.size()
             << " tasks) — load it in chrome://tracing\n";
   return 0;

@@ -79,15 +79,18 @@ parallel::Strategy baseline_strategy(const graph::ConvShape& shape, int p) {
                    });
 
   // Prefer the most balanced two-factor split (4 -> 2x2, 8 -> 4x2); fall
-  // back to a single split when a factor does not fit.
-  std::vector<int> factors;
+  // back to a single split when a factor does not fit. (The second factor
+  // is push_back'ed: GCC 12 at -O2 flags `factors = {p / f, f}` with a
+  // false -Wstringop-overflow.)
+  int smaller = 1;
   for (int f = static_cast<int>(std::sqrt(static_cast<double>(p))); f >= 2; --f) {
     if (p % f == 0) {
-      factors = {p / f, f};
+      smaller = f;
       break;
     }
   }
-  if (factors.empty()) factors = {p};
+  std::vector<int> factors{p / smaller};
+  if (smaller > 1) factors.push_back(smaller);
 
   std::vector<parallel::DimSplit> es;
   int used = 0;

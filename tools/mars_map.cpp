@@ -1,72 +1,20 @@
 // mars_map — command-line front end to the MARS mapping framework.
 //
-//   mars_map models
-//       List the model zoo.
-//   mars_map profile --model vgg16
-//       Per-layer design profile (Table II style).
-//   mars_map map --model resnet34 [--topology f1 | cloud:<n>:<gbps>]
-//                [--mapper ga|anneal|random|baseline|portfolio|race:...]
-//                [--search-budget MS] [--search-evals N] [--threads N]
-//                [--seed N] [--json out.json] [--quick] [--fixed]
-//       Run a mapping search (default: the two-level GA) and print (or
-//       export) the mapping with its provenance. --threads fans fitness
-//       evaluation across a worker pool (identical results, less wall
-//       clock); --mapper portfolio races ga+anneal+random under one
-//       budget and keeps the winner.
-//   mars_map baseline --model resnet34
-//       The Herald-extended baseline mapping and latency.
-//   mars_map throughput --model resnet34 --batch 8
-//       Pipelined multi-image throughput of the searched mapping.
-//   mars_map serve --model facebagnet --model resnet50 --rate 200 --duration 10
-//       Online multi-tenant serving simulation over the shared topology.
-//       --model takes name[:weight[:sloMS]] — a per-model SLO overrides
-//       --slo for both the goodput report and slo: admission.
-//       --mapping-cache DIR persists searched mappings across runs;
-//       --policy composes batching and admission ("size:4+slo:60");
-//       --replay CSV replays a recorded arrival trace; --shards N splits
-//       the fleet into N replica groups behind a deterministic router
-//       (docs/SERVING.md), run in parallel under --threads;
-//       --shard-models 'a+b/c' pins each replica group to a subset of the
-//       models (one '/'-separated entry per shard, '+'-separated names).
-//   mars_map comap --model facebagnet --model resnet50 --rate 150
-//       Joint multi-tenant co-mapping (docs/COMAP.md): searches the
-//       tenants together under a serving-objective fitness (seeded
-//       rollouts of the shared request stream) and reports the joint
-//       vs independent SLO goodput. --encoding partition|interleave
-//       picks the composite genome; --rollout MS sets the rollout
-//       horizon; budget/thread/cache/trace flags work as in map/serve.
-//   mars_map explore --model alexnet [--space SPEC] [--objectives LIST]
-//       Hardware-mapping co-search (docs/EXPLORE.md): evolves hardware
-//       points (interconnect family, accelerator count, link bandwidth,
-//       design menu) with an NSGA-II loop, pricing each point by an
-//       inner mapping search, and prints the Pareto front over
-//       --objectives (default makespan,energy,cost). --space uses the
-//       axis grammar "families=clique,ring;accs=2,4;bw=8;menus=full";
-//       --front-size truncates the printed front by crowding distance;
-//       --points / --search-budget bound the outer search; --search-evals
-//       bounds each inner search; --csv/--json export the front
-//       byte-identically at any --threads and cache state.
-//   mars_map warm --models a,b,c --mapping-cache DIR
-//       Pre-populate the mapping cache: plan every listed model on the
-//       configured (topology, mapper) and store the results, so later
-//       serve/comap startups are cache hits.
-//
-// map, throughput and serve all accept `--trace FILE.json` (Chrome Trace
-// Event / Perfetto timeline of the run) and `--metrics FILE.json` (counter
-// registry snapshot). Both write their files after the command finishes and
-// report to stderr only — stdout is byte-identical with and without them.
-//
-// The full flag reference lives in docs/CLI.md; the serving data flow in
-// docs/SERVING.md; clock domains and the trace determinism contract in
-// docs/OBSERVABILITY.md.
-//
-// Exit code 0 on success, 1 on usage errors, 2 on runtime failures.
+// Subcommands, flags, defaults and exit codes are documented in
+// docs/CLI.md; `mars_map help` prints the same reference, generated from
+// the flag table below (the only place a flag is declared).
 #include <algorithm>
+#include <charconv>
 #include <chrono>
+#include <climits>
+#include <cmath>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -94,76 +42,263 @@ namespace {
 
 using namespace mars;
 
-struct Args {
-  std::string command;
-  // Options in CLI order; repeatable flags (--model) keep every occurrence.
-  std::vector<std::pair<std::string, std::string>> options;
+// ----------------------------------------------------------------- flag table
 
-  bool flag(const std::string& name) const {
-    for (const auto& [key, value] : options) {
-      if (key == name) return true;
-    }
-    return false;
-  }
-  std::string get(const std::string& name, const std::string& fallback) const {
-    std::string result = fallback;
-    for (const auto& [key, value] : options) {
-      if (key == name) result = value;  // last occurrence wins
-    }
-    return result;
-  }
-  std::vector<std::string> all(const std::string& name) const {
-    std::vector<std::string> values;
-    for (const auto& [key, value] : options) {
-      if (key == name) values.push_back(value);
-    }
-    return values;
-  }
+/// Subcommand bits: a flag row lists the subcommands that accept it.
+enum : unsigned {
+  kModels = 1u << 0,
+  kProfile = 1u << 1,
+  kMap = 1u << 2,
+  kBaseline = 1u << 3,
+  kThroughput = 1u << 4,
+  kServe = 1u << 5,
+  kComap = 1u << 6,
+  kExplore = 1u << 7,
+  kWarm = 1u << 8,
+};
+constexpr unsigned kOneModel = kProfile | kMap | kBaseline | kThroughput;
+constexpr unsigned kOnTopology =
+    kMap | kBaseline | kThroughput | kServe | kComap | kWarm;
+constexpr unsigned kSearching =
+    kMap | kThroughput | kServe | kComap | kExplore | kWarm;
+
+/// kList is a repeatable value flag; every other flag keeps its last value.
+enum class Kind { kSwitch, kValue, kList };
+
+struct Flag {
+  const char* name;
+  unsigned commands;
+  Kind kind;
+  const char* value;     // value name in the help text; "" for a switch
+  const char* fallback;  // value when absent; "" for none
+  const char* help;
 };
 
-Args parse(int argc, char** argv) {
-  Args args;
-  if (argc >= 2) args.command = argv[1];
-  for (int i = 2; i < argc; ++i) {
-    std::string key = argv[i];
-    if (key.rfind("--", 0) != 0) continue;
-    key = key.substr(2);
-    if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-      args.options.emplace_back(key, argv[++i]);
-    } else {
-      args.options.emplace_back(key, "1");
-    }
+constexpr Flag kFlags[] = {
+    {"model", kOneModel, Kind::kValue, "NAME", "resnet34",
+     "Zoo model (see `mars_map models`)"},
+    {"model", kExplore, Kind::kValue, "NAME", "alexnet",
+     "Zoo model priced on every hardware point"},
+    {"model", kServe, Kind::kList, "NAME[:WEIGHT[:SLO_MS]]", "resnet34",
+     "Co-resident model, its traffic weight and its own SLO"},
+    {"model", kComap, Kind::kList, "NAME[:WEIGHT[:SLO_MS]]", "",
+     "Tenant, its traffic weight and its own SLO (at least one)"},
+    {"model", kWarm, Kind::kList, "NAME", "", "Model to warm"},
+    {"models", kWarm, Kind::kList, "A,B,C", "",
+     "Comma-separated models to warm"},
+    {"model-file", kOneModel, Kind::kValue, "PATH", "",
+     "Parse the model from a text file instead of the zoo"},
+    {"topology", kOnTopology, Kind::kValue, "SPEC", "f1",
+     "f1 | cloud:<n>:<gbps> | ring:<n>:<gbps>"},
+    {"fixed", kOnTopology | kProfile, Kind::kSwitch, "", "",
+     "Fixed-design system: H2H designs, no design search"},
+    {"mapper", kSearching & ~kComap, Kind::kValue, "NAME", "ga",
+     "Search engine: ga | anneal | random | baseline | portfolio | "
+     "race:<m>[@seed]+<m>[@seed][+...][,MS]"},
+    {"search-budget", kSearching, Kind::kValue, "MS", "0",
+     "Wall-clock search budget in ms, 0 = none (explore: the outer search)"},
+    {"search-evals", kSearching, Kind::kValue, "N", "0",
+     "Evaluation budget of each mapping search, 0 = none"},
+    {"threads", kSearching, Kind::kValue, "N", "1",
+     "Worker threads (>= 1); results are identical at any value"},
+    {"seed", kSearching, Kind::kValue, "N", "1",
+     "RNG seed, an unsigned 64-bit integer"},
+    {"quick", kMap | kThroughput | kComap | kExplore, Kind::kSwitch, "", "",
+     "Smoke-sized search schedule (comap: the outer GA)"},
+    {"full", kServe | kComap | kWarm, Kind::kSwitch, "", "",
+     "Offline per-model search schedule instead of the quick one"},
+    {"batch", kThroughput, Kind::kValue, "N", "8",
+     "Images pipelined through the mapping (>= 1)"},
+    {"rate", kServe, Kind::kValue, "RPS", "100",
+     "Open-loop Poisson arrival rate (> 0)"},
+    {"rate", kComap, Kind::kValue, "RPS", "150", "Rollout offered rate (> 0)"},
+    {"duration", kServe, Kind::kValue, "S", "5",
+     "Stream length in simulated seconds (> 0)"},
+    {"replay", kServe, Kind::kValue, "CSV", "",
+     "Replay an arrival_s,model CSV instead of Poisson arrivals"},
+    {"clients", kServe, Kind::kValue, "N", "",
+     "Closed loop with N clients (>= 1) instead of open loop"},
+    {"think", kServe, Kind::kValue, "MS", "0",
+     "Closed-loop think time (>= 0; > 0 with slo:/shed: admission)"},
+    {"policy", kServe | kComap, Kind::kValue, "SPEC", "none",
+     "Batching and admission: [none|size:N|timeout:MS[:N]][+slo:MS|+shed:N]"},
+    {"slo", kServe, Kind::kValue, "MS", "100",
+     "SLO of the goodput metrics (>= 0)"},
+    {"slo", kComap, Kind::kValue, "MS", "100",
+     "SLO of tenants without their own (> 0)"},
+    {"shards", kServe, Kind::kValue, "N", "1",
+     "Replica groups the fleet is split into (>= 1)"},
+    {"shard-models", kServe, Kind::kValue, "SPEC", "",
+     "Per-shard model sets, e.g. 'a+b/c'"},
+    {"encoding", kComap, Kind::kValue, "E", "partition",
+     "Composite genome: partition | interleave"},
+    {"rollout", kComap, Kind::kValue, "MS", "1000",
+     "Rollout duration in simulated ms (> 0)"},
+    {"space", kExplore, Kind::kValue, "SPEC", "",
+     "Design space, e.g. 'families=clique,ring;accs=2,4;bw=8;menus=full'"},
+    {"objectives", kExplore, Kind::kValue, "LIST", "makespan,energy,cost",
+     "Objectives to optimise"},
+    {"population", kExplore, Kind::kValue, "N", "12",
+     "Outer NSGA-II population"},
+    {"generations", kExplore, Kind::kValue, "N", "6",
+     "Outer NSGA-II generations"},
+    {"points", kExplore, Kind::kValue, "N", "0",
+     "Outer budget: hardware points priced, 0 = none"},
+    {"front-size", kExplore, Kind::kValue, "N", "0",
+     "Crowding-truncate the front to N points, 0 = all"},
+    {"mapping-cache", kServe | kComap | kExplore | kWarm, Kind::kValue, "DIR",
+     "", "Persistent mapping cache directory (required by warm)"},
+    {"json", kMap | kServe | kComap | kExplore, Kind::kValue, "PATH", "",
+     "Export the result as JSON"},
+    {"csv", kExplore, Kind::kValue, "PATH", "", "Export the front as CSV"},
+    {"trace", kSearching, Kind::kValue, "FILE.json", "",
+     "Export a Chrome Trace Event timeline of the run"},
+    {"metrics", kSearching, Kind::kValue, "FILE.json", "",
+     "Export the metric registry"},
+};
+
+const Flag* find_flag(std::string_view name, unsigned command) {
+  for (const Flag& flag : kFlags) {
+    if (name == flag.name && (flag.commands & command) != 0) return &flag;
   }
-  return args;
+  return nullptr;
 }
 
-/// Whole-string numeric flag parse; anything else is a usage error.
-double number_option(const Args& args, const std::string& name,
-                     const std::string& fallback) {
-  const std::string text = args.get(name, fallback);
-  std::size_t consumed = 0;
+/// Whole-string finite number, or nullopt.
+std::optional<double> to_number(std::string_view text) {
   double value = 0.0;
-  try {
-    value = std::stod(text, &consumed);
-  } catch (const std::exception&) {
-    consumed = 0;
-  }
-  if (consumed != text.size()) {
-    throw InvalidArgument("--" + name + " needs a number, got '" + text + "'");
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc() || stop != end || !std::isfinite(value)) {
+    return std::nullopt;
   }
   return value;
 }
 
-int int_option(const Args& args, const std::string& name,
-               const std::string& fallback) {
-  const double value = number_option(args, name, fallback);
-  const int truncated = static_cast<int>(value);
-  if (static_cast<double>(truncated) != value) {
-    throw InvalidArgument("--" + name + " needs an integer, got '" +
-                          args.get(name, fallback) + "'");
+/// Whole-string integer in int range (range-checked before the cast).
+std::optional<int> to_int(std::string_view text) {
+  const std::optional<double> value = to_number(text);
+  if (!value || *value != std::trunc(*value) || *value < INT_MIN ||
+      *value > INT_MAX) {
+    return std::nullopt;
   }
-  return truncated;
+  return static_cast<int>(*value);
 }
+
+/// Lower bound of a number flag.
+enum class Min { kZero, kAboveZero };
+
+/// One subcommand's command line. Getters take their defaults from the
+/// flag table and must name a flag the subcommand accepts; reading any
+/// other flag is a bug in this file (std::logic_error, exit 2).
+class Args {
+ public:
+  /// Throws InvalidArgument on a flag the subcommand does not accept, a
+  /// positional argument, or a value flag without its value.
+  Args(const std::string& command_name, unsigned command, int argc,
+       char** argv)
+      : command_(command) {
+    for (int i = 2; i < argc; ++i) {
+      const std::string arg = argv[i];
+      if (!starts_with(arg, "--")) {
+        throw InvalidArgument(command_name +
+                              " takes no positional argument, got '" + arg +
+                              "' (flags start with --)");
+      }
+      const Flag* flag = find_flag(std::string_view(arg).substr(2), command);
+      if (flag == nullptr) {
+        throw InvalidArgument(command_name + " does not take " + arg +
+                              " (see `mars_map help`)");
+      }
+      std::string value;
+      if (flag->kind != Kind::kSwitch) {
+        if (i + 1 == argc || starts_with(argv[i + 1], "--")) {
+          throw InvalidArgument(command_name + ": " + arg + " needs a value (" +
+                                flag->value + ")");
+        }
+        value = argv[++i];
+      }
+      given_.emplace_back(flag, std::move(value));
+    }
+  }
+
+  /// Whether the flag was given at all.
+  [[nodiscard]] bool has(std::string_view name) const {
+    const Flag* flag = &row(name);
+    return std::any_of(given_.begin(), given_.end(),
+                       [&](const auto& given) { return given.first == flag; });
+  }
+
+  /// Every value given for the flag in order, or its default when absent.
+  [[nodiscard]] std::vector<std::string> list(std::string_view name) const {
+    const Flag& flag = row(name);
+    std::vector<std::string> values;
+    for (const auto& [given, value] : given_) {
+      if (given == &flag) values.push_back(value);
+    }
+    if (values.empty() && *flag.fallback != '\0') {
+      values.emplace_back(flag.fallback);
+    }
+    return values;
+  }
+
+  /// The last value given for the flag, or its default.
+  [[nodiscard]] std::string text(std::string_view name) const {
+    const std::vector<std::string> values = list(name);
+    return values.empty() ? std::string() : values.back();
+  }
+
+  [[nodiscard]] double number(std::string_view name, Min min) const {
+    const std::string value = text(name);
+    const std::optional<double> parsed = to_number(value);
+    if (!parsed || *parsed < 0.0 ||
+        (min == Min::kAboveZero && *parsed == 0.0)) {
+      throw InvalidArgument("--" + std::string(name) + " must be a number " +
+                            (min == Min::kZero ? ">= 0" : "> 0") + ", got '" +
+                            value + "'");
+    }
+    return *parsed;
+  }
+
+  [[nodiscard]] int integer(std::string_view name, int min = INT_MIN) const {
+    const std::string value = text(name);
+    const std::optional<int> parsed = to_int(value);
+    if (!parsed || *parsed < min) {
+      throw InvalidArgument(
+          "--" + std::string(name) + " must be an integer" +
+          (min == INT_MIN ? "" : " >= " + std::to_string(min)) + ", got '" +
+          value + "'");
+    }
+    return *parsed;
+  }
+
+  [[nodiscard]] std::uint64_t seed() const {
+    const std::string value = text("seed");
+    std::uint64_t seed = 0;
+    const char* end = value.data() + value.size();
+    const auto [stop, error] = std::from_chars(value.data(), end, seed);
+    if (value.empty() || error != std::errc() || stop != end) {
+      throw InvalidArgument(
+          "--seed must be an unsigned 64-bit integer, got '" + value + "'");
+    }
+    return seed;
+  }
+
+ private:
+  [[nodiscard]] const Flag& row(std::string_view name) const {
+    const Flag* flag = find_flag(name, command_);
+    if (flag == nullptr) {
+      throw std::logic_error("--" + std::string(name) +
+                             " is not in this subcommand's flag table rows");
+    }
+    return *flag;
+  }
+
+  unsigned command_;
+  std::vector<std::pair<const Flag*, std::string>> given_;
+};
+
+// ------------------------------------------------------------ shared helpers
 
 /// Per-command observability session: `--trace FILE.json` installs a
 /// TraceRecorder, and a MetricsRegistry is always installed so component
@@ -177,21 +312,8 @@ struct ObsSession {
   std::string trace_path;
   std::string metrics_path;
 
-  explicit ObsSession(const Args& args) {
-    // Validate both paths before installing anything: a throw from here
-    // must not leave a global pointer at a dying recorder.
-    if (args.flag("trace")) {
-      trace_path = args.get("trace", "");
-      if (trace_path == "1") {
-        throw InvalidArgument("--trace needs an output file path (.json)");
-      }
-    }
-    if (args.flag("metrics")) {
-      metrics_path = args.get("metrics", "");
-      if (metrics_path == "1") {
-        throw InvalidArgument("--metrics needs an output file path (.json)");
-      }
-    }
+  explicit ObsSession(const Args& args)
+      : trace_path(args.text("trace")), metrics_path(args.text("metrics")) {
     if (!trace_path.empty()) {
       recorder.emplace();
       obs::install_trace(&*recorder);
@@ -231,7 +353,7 @@ struct ObsSession {
 /// derives one replica group from the fleet spec. Only the sizable
 /// families (cloud, ring) can be resized; f1 is a fixed preset.
 topology::Topology make_topology(const Args& args, int size_override = 0) {
-  const std::string spec = args.get("topology", "f1");
+  const std::string spec = args.text("topology");
   if (spec == "f1") {
     if (size_override > 0) {
       throw InvalidArgument(
@@ -241,36 +363,43 @@ topology::Topology make_topology(const Args& args, int size_override = 0) {
     return topology::f1_16xlarge();
   }
   const std::vector<std::string> parts = split(spec, ':');
-  if (parts.size() == 3 && parts[0] == "cloud") {
-    const int n = size_override > 0 ? size_override : std::stoi(parts[1]);
-    return topology::h2h_cloud(n, gbps(std::stod(parts[2])),
-                               args.flag("fixed") ? 4 : 0);
+  if (parts.size() != 3 || (parts[0] != "cloud" && parts[0] != "ring")) {
+    throw InvalidArgument("unknown topology '" + spec +
+                          "' (use f1 | cloud:<n>:<gbps> | ring:<n>:<gbps>)");
   }
-  if (parts.size() == 3 && parts[0] == "ring") {
-    const int n = size_override > 0 ? size_override : std::stoi(parts[1]);
-    return topology::ring(n, gbps(std::stod(parts[2])), gbps(2.0));
+  const std::optional<int> count = to_int(parts[1]);
+  const std::optional<double> bandwidth = to_number(parts[2]);
+  if (!count || !bandwidth) {
+    throw InvalidArgument("bad --topology '" + spec +
+                          "' (<n> must be an integer, <gbps> a number)");
   }
-  throw InvalidArgument("unknown topology '" + spec +
-                        "' (use f1 | cloud:<n>:<gbps> | ring:<n>:<gbps>)");
+  const int n = size_override > 0 ? size_override : *count;
+  if (parts[0] == "cloud") {
+    return topology::h2h_cloud(n, gbps(*bandwidth), args.has("fixed") ? 4 : 0);
+  }
+  return topology::ring(n, gbps(*bandwidth), gbps(2.0));
 }
 
-/// `--threads N` -> fitness-evaluation worker count. Execution-only (the
-/// mapping is byte-identical at any value); 0/negative are named usage
-/// errors, matching the `--rate`/`--slo` convention.
-int thread_count(const Args& args) {
-  const int threads = int_option(args, "threads", "1");
-  if (threads < 1) {
-    throw InvalidArgument("--threads must be >= 1, got '" +
-                          args.get("threads", "1") + "'");
-  }
-  return threads;
+accel::DesignRegistry make_designs(const Args& args) {
+  return args.has("fixed") ? accel::h2h_designs() : accel::table2_designs();
 }
 
-core::MarsConfig make_config(const Args& args) {
+graph::Graph load_model(const Args& args) {
+  if (args.has("model-file")) {
+    return graph::parse_model_file(args.text("model-file"));
+  }
+  return graph::models::by_name(args.text("model"));
+}
+
+/// Search tuning from `--seed` and `--threads`. `quick` selects the
+/// smoke-sized two-level schedule: `--quick` in map, throughput and
+/// explore; the default in serve, comap and warm, where `--full` restores
+/// the offline schedule.
+core::MarsConfig make_config(const Args& args, bool quick) {
   core::MarsConfig config;
-  config.seed = std::stoull(args.get("seed", "1"));
-  config.threads = thread_count(args);
-  if (args.flag("quick")) {
+  config.seed = args.seed();
+  config.threads = args.integer("threads", 1);
+  if (quick) {
     config.first_ga.population = 12;
     config.first_ga.generations = 8;
     config.second.ga.population = 8;
@@ -279,43 +408,37 @@ core::MarsConfig make_config(const Args& args) {
   return config;
 }
 
-/// `--mapper NAME` -> a search engine tuned by `config`. Unknown names are
-/// usage errors that name the flag, the value, and the valid set; engine
-/// config-validation errors pass through with their own field messages.
-std::unique_ptr<plan::SearchEngine> make_engine(const Args& args,
-                                                const core::MarsConfig& config) {
-  const std::string name = args.get("mapper", "ga");
-  const std::vector<std::string>& names = plan::engine_names();
-  if (name != "mars" && name.rfind("race:", 0) != 0 &&
-      std::find(names.begin(), names.end(), name) == names.end()) {
-    throw InvalidArgument(
-        "unknown --mapper '" + name +
-        "' (use ga | anneal | random | baseline | portfolio | "
-        "race:<m>+<m>[,MS])");
-  }
-  return plan::make_engine(name, config);
-}
-
-/// `--search-budget MS` (wall clock) and `--search-evals N` (evaluation
-/// count); 0 (the default) leaves the engine's own schedule unbounded.
-plan::Budget make_budget(const Args& args) {
+/// `--search-budget MS` (wall clock) plus an evaluation-count budget read
+/// from `count_flag`; 0 (the default) leaves that dimension unbounded.
+plan::Budget make_budget(const Args& args,
+                         std::string_view count_flag = "search-evals") {
   plan::Budget budget;
-  const double ms = number_option(args, "search-budget", "0");
-  if (ms < 0.0) {
-    throw InvalidArgument("--search-budget must be >= 0 ms, got '" +
-                          args.get("search-budget", "0") + "'");
-  }
-  budget.wall_clock = milliseconds(ms);
-  const int evals = int_option(args, "search-evals", "0");
-  if (evals < 0) {
-    throw InvalidArgument("--search-evals must be >= 0, got '" +
-                          args.get("search-evals", "0") + "'");
-  }
-  budget.max_evaluations = evals;
+  budget.wall_clock = milliseconds(args.number("search-budget", Min::kZero));
+  budget.max_evaluations = args.integer(count_flag, 0);
   return budget;
 }
 
-int cmd_models() {
+/// Writes `text` to the path given by `flag` and confirms it on stdout.
+void write_export(const Args& args, std::string_view flag,
+                  const std::string& text) {
+  const std::string path = args.text(flag);
+  std::ofstream(path) << text;
+  std::cout << "wrote " << path << '\n';
+}
+
+/// The `--mapping-cache DIR` cache, or nullptr when the flag is absent.
+std::unique_ptr<serve::MappingCache> open_cache(const Args& args) {
+  if (!args.has("mapping-cache")) return nullptr;
+  const std::string dir = args.text("mapping-cache");
+  if (dir.empty()) {
+    throw InvalidArgument("--mapping-cache needs a directory path");
+  }
+  return std::make_unique<serve::MappingCache>(dir);
+}
+
+// ---------------------------------------------------------------- subcommands
+
+int cmd_models(const Args&) {
   Table table({"Model", "#Convs", "Mappable", "#Params", "MACs"});
   for (const std::string& name : graph::models::zoo_names()) {
     const graph::Graph model = graph::models::by_name(name);
@@ -328,10 +451,9 @@ int cmd_models() {
 }
 
 int cmd_profile(const Args& args) {
-  const graph::Graph model =
-      graph::models::by_name(args.get("model", "resnet34"));
+  const graph::Graph model = load_model(args);
   const graph::ConvSpine spine = graph::ConvSpine::extract(model);
-  const accel::DesignRegistry designs = accel::table2_designs();
+  const accel::DesignRegistry designs = make_designs(args);
   const accel::ProfileMatrix profile(designs, spine);
 
   Table table({"Layer", "Shape", "Best design", "Cycles", "Utilization"});
@@ -354,26 +476,23 @@ struct LoadedProblem {
   accel::DesignRegistry designs;
   plan::Planner planner;
 
-  static graph::Graph load_model(const Args& args) {
-    if (args.flag("model-file")) {
-      return graph::parse_model_file(args.get("model-file", ""));
-    }
-    return graph::models::by_name(args.get("model", "resnet34"));
-  }
-
   explicit LoadedProblem(const Args& args)
       : topo(make_topology(args)),
-        designs(args.flag("fixed") ? accel::h2h_designs()
-                                   : accel::table2_designs()),
-        planner(load_model(args), topo, designs, !args.flag("fixed")) {}
+        designs(make_designs(args)),
+        planner(load_model(args), topo, designs, !args.has("fixed")) {}
 };
+
+/// Runs the `--mapper` engine on the loaded problem under the budget flags.
+plan::PlanResult search(const Args& args, const LoadedProblem& lp) {
+  const std::unique_ptr<plan::SearchEngine> engine = plan::make_engine(
+      args.text("mapper"), make_config(args, args.has("quick")));
+  return lp.planner.plan(*engine, make_budget(args));
+}
 
 int cmd_map(const Args& args) {
   const ObsSession session(args);
-  LoadedProblem lp(args);
-  const std::unique_ptr<plan::SearchEngine> engine =
-      make_engine(args, make_config(args));
-  const plan::PlanResult result = lp.planner.plan(*engine, make_budget(args));
+  const LoadedProblem lp(args);
+  const plan::PlanResult result = search(args, lp);
   const bool adaptive = lp.planner.problem().adaptive;
 
   std::cout << core::describe(result.mapping, lp.planner.spine(), lp.designs,
@@ -396,21 +515,19 @@ int cmd_map(const Args& args) {
     std::cout << ")\n";
   }
 
-  if (args.flag("json")) {
+  if (args.has("json")) {
     JsonValue out = JsonValue::object();
     out.set("mapping", core::to_json(result.mapping, lp.planner.spine(),
                                      lp.designs, adaptive));
     out.set("summary", core::to_json(result.summary));
     out.set("provenance", plan::to_json(result.provenance));
-    std::ofstream file(args.get("json", "mapping.json"));
-    file << out.dump() << '\n';
-    std::cout << "wrote " << args.get("json", "mapping.json") << '\n';
+    write_export(args, "json", out.dump() + '\n');
   }
   return 0;
 }
 
 int cmd_baseline(const Args& args) {
-  LoadedProblem lp(args);
+  const LoadedProblem lp(args);
   const plan::BaselineEngine engine;
   const plan::PlanResult result = lp.planner.plan(engine);
   std::cout << core::describe(result.mapping, lp.planner.spine(), lp.designs,
@@ -422,11 +539,9 @@ int cmd_baseline(const Args& args) {
 
 int cmd_throughput(const Args& args) {
   const ObsSession session(args);
-  LoadedProblem lp(args);
-  const int batch = int_option(args, "batch", "8");
-  const std::unique_ptr<plan::SearchEngine> engine =
-      make_engine(args, make_config(args));
-  const plan::PlanResult result = lp.planner.plan(*engine, make_budget(args));
+  const LoadedProblem lp(args);
+  const int batch = args.integer("batch", 1);
+  const plan::PlanResult result = search(args, lp);
   const core::MappingEvaluator evaluator(lp.planner.problem());
   const auto throughput = evaluator.evaluate_throughput(result.mapping, batch);
   std::cout << "batch " << batch << ": " << throughput.makespan.millis()
@@ -443,47 +558,33 @@ struct ModelMix {
   std::vector<std::string> names;
   std::vector<double> weights;
   std::vector<Seconds> slos;
-
-  [[nodiscard]] bool has_model_slos() const {
-    return std::any_of(slos.begin(), slos.end(),
-                       [](Seconds s) { return s.count() > 0.0; });
-  }
 };
 
 /// Parses every `--model` occurrence; numeric fields are whole-string
-/// parses with named errors, matching the `--rate`/`--slo` convention.
+/// parses with named errors.
 ModelMix parse_model_mix(const Args& args) {
   ModelMix mix;
-  const auto parse_number = [](const std::string& text, double& out) {
-    std::size_t consumed = 0;
-    try {
-      out = std::stod(text, &consumed);
-    } catch (const std::exception&) {
-      consumed = 0;
-    }
-    return consumed == text.size();
-  };
-  for (const std::string& spec : args.all("model")) {
+  for (const std::string& spec : args.list("model")) {
     const std::vector<std::string> parts = split(spec, ':');
     if (parts.empty() || parts[0].empty() || parts.size() > 3) {
       throw InvalidArgument("bad --model spec '" + spec +
                             "' (use name[:weight[:sloMS]])");
     }
-    double weight = 1.0;
-    if (parts.size() >= 2 &&
-        (!parse_number(parts[1], weight) || weight < 0.0)) {
+    const std::optional<double> weight =
+        parts.size() >= 2 ? to_number(parts[1]) : 1.0;
+    if (!weight || *weight < 0.0) {
       throw InvalidArgument("bad --model weight in '" + spec +
                             "' (use name[:weight[:sloMS]])");
     }
-    double slo_ms = 0.0;
-    if (parts.size() == 3 &&
-        (!parse_number(parts[2], slo_ms) || slo_ms <= 0.0)) {
+    const std::optional<double> slo_ms =
+        parts.size() == 3 ? to_number(parts[2]) : 0.0;
+    if (!slo_ms || (parts.size() == 3 && *slo_ms <= 0.0)) {
       throw InvalidArgument("bad --model SLO in '" + spec +
                             "' (use name[:weight[:sloMS]], SLO in ms > 0)");
     }
     mix.names.push_back(parts[0]);
-    mix.weights.push_back(weight);
-    mix.slos.push_back(milliseconds(slo_ms));
+    mix.weights.push_back(*weight);
+    mix.slos.push_back(milliseconds(*slo_ms));
   }
   return mix;
 }
@@ -512,24 +613,14 @@ std::vector<std::vector<int>> parse_shard_models(
 
 int cmd_serve(const Args& args) {
   const ObsSession session(args);
-  ModelMix mix = parse_model_mix(args);
-  if (mix.names.empty()) {
-    mix.names = {"resnet34"};
-    mix.weights = {1.0};
-    mix.slos = {Seconds(0.0)};
-  }
+  const ModelMix mix = parse_model_mix(args);
   const std::vector<std::string>& names = mix.names;
-  const std::vector<double>& weights = mix.weights;
 
   // --shards N splits the fleet into N identical replica groups. Services
   // are planned once on the group topology (replica groups are copies);
   // the fleet spec from --topology only sets the accelerator budget being
   // divided. Partition notes go to stderr so sharded stdout stays clean.
-  const int shards_requested = int_option(args, "shards", "1");
-  if (shards_requested < 1) {
-    throw InvalidArgument("--shards must be >= 1, got '" +
-                          args.get("shards", "1") + "'");
-  }
+  const int shards_requested = args.integer("shards", 1);
   topology::Topology topo = make_topology(args);
   serve::FleetPartition partition;
   partition.group_accelerators = topo.size();
@@ -547,62 +638,33 @@ int cmd_serve(const Args& args) {
                 << " replica groups\n";
     }
   }
-  const accel::DesignRegistry designs =
-      args.flag("fixed") ? accel::h2h_designs() : accel::table2_designs();
+  const accel::DesignRegistry designs = make_designs(args);
 
-  // Serving plans one mapping per model up front; default to the quick
-  // search budget (--full restores the offline default, --mapper baseline
-  // skips the search entirely).
-  core::MarsConfig config;
-  config.seed = std::stoull(args.get("seed", "1"));
-  config.threads = thread_count(args);
-  if (!args.flag("full")) {
-    config.first_ga.population = 12;
-    config.first_ga.generations = 8;
-    config.second.ga.population = 8;
-    config.second.ga.generations = 6;
-  }
-  // "mars" stays accepted as an alias of "ga" for old scripts.
-  const std::unique_ptr<plan::SearchEngine> engine = make_engine(args, config);
+  // Serving plans one mapping per model up front with the quick search
+  // schedule (--full restores the offline one, --mapper baseline skips the
+  // search entirely). "mars" stays accepted as an alias of "ga".
+  const core::MarsConfig config = make_config(args, !args.has("full"));
+  const std::unique_ptr<plan::SearchEngine> engine =
+      plan::make_engine(args.text("mapper"), config);
   const plan::Budget search_budget = make_budget(args);
 
   // Parse every workload flag before the (expensive) per-model planning
   // so usage errors fail fast.
   const serve::PolicySpec policy =
-      serve::PolicySpec::parse(args.get("policy", "none"));
+      serve::PolicySpec::parse(args.text("policy"));
   serve::SchedulerOptions options;
   options.policy = policy.batch;
   options.admission = policy.admission;
   // Per-model SLOs (from --model name:weight:sloMS) tighten or relax slo:
   // admission per tenant; models without one keep the policy's shared slo.
   options.admission.per_model_slo = mix.slos;
-  const Seconds duration = Seconds(number_option(args, "duration", "5"));
-  const auto seed = static_cast<std::uint64_t>(int_option(args, "seed", "1"));
-  const Seconds slo = milliseconds(number_option(args, "slo", "100"));
-  const double rate = number_option(args, "rate", "100");
-  const int clients = int_option(args, "clients", "8");
-  const Seconds think = milliseconds(number_option(args, "think", "0"));
-  if (rate <= 0.0) {
-    throw InvalidArgument("--rate must be > 0 requests/s, got '" +
-                          args.get("rate", "100") + "'");
-  }
-  if (duration.count() <= 0.0) {
-    throw InvalidArgument("--duration must be > 0 seconds, got '" +
-                          args.get("duration", "5") + "'");
-  }
-  if (slo.count() < 0.0) {
-    throw InvalidArgument("--slo must be >= 0 ms, got '" +
-                          args.get("slo", "100") + "'");
-  }
-  if (think.count() < 0.0) {
-    throw InvalidArgument("--think must be >= 0 ms, got '" +
-                          args.get("think", "0") + "'");
-  }
-  if (args.flag("clients") && clients < 1) {
-    throw InvalidArgument("--clients must be >= 1, got '" +
-                          args.get("clients", "8") + "'");
-  }
-  if (args.flag("clients") &&
+  const Seconds duration = Seconds(args.number("duration", Min::kAboveZero));
+  const Seconds slo = milliseconds(args.number("slo", Min::kZero));
+  const double rate = args.number("rate", Min::kAboveZero);
+  const Seconds think = milliseconds(args.number("think", Min::kZero));
+  const bool closed_loop = args.has("clients");
+  const int clients = closed_loop ? args.integer("clients", 1) : 0;
+  if (closed_loop &&
       policy.admission.kind != serve::AdmissionPolicy::Kind::kNone &&
       think.count() <= 0.0) {
     throw InvalidArgument("--policy " + policy.admission.to_string() +
@@ -614,19 +676,12 @@ int cmd_serve(const Args& args) {
   // (topology, designs, config) load the searched mappings instead of
   // re-running the GA. Provenance goes to stderr so the serving report on
   // stdout stays byte-identical between cold and warm runs.
-  std::optional<serve::MappingCache> cache;
-  if (args.flag("mapping-cache")) {
-    const std::string dir = args.get("mapping-cache", "");
-    if (dir == "1") {
-      throw InvalidArgument("--mapping-cache needs a directory path");
-    }
-    cache.emplace(dir);
-  }
+  const std::unique_ptr<serve::MappingCache> cache = open_cache(args);
 
   const auto plan_start = std::chrono::steady_clock::now();
   const std::vector<std::unique_ptr<serve::ModelService>> services =
-      serve::plan_services(names, topo, designs, !args.flag("fixed"), *engine,
-                           cache ? &*cache : nullptr, search_budget);
+      serve::plan_services(names, topo, designs, !args.has("fixed"), *engine,
+                           cache.get(), search_budget);
   const double plan_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     plan_start)
@@ -666,30 +721,23 @@ int cmd_serve(const Args& args) {
   fleet_options.shards = partition.shards;
   fleet_options.threads = config.threads;
   fleet_options.scheduler = options;
-  if (args.flag("shard-models")) {
-    const std::string spec = args.get("shard-models", "");
-    if (spec == "1") {
-      throw InvalidArgument(
-          "--shard-models needs a spec like 'a+b/c' (one '/'-separated "
-          "entry per shard)");
-    }
-    fleet_options.shard_models = parse_shard_models(spec, names);
+  if (args.has("shard-models")) {
+    fleet_options.shard_models =
+        parse_shard_models(args.text("shard-models"), names);
   }
   const serve::FleetScheduler scheduler(topo, refs, fleet_options);
 
   serve::ServeResult result;
-  if (args.flag("replay")) {
-    // A bare `--replay` parses as the sentinel value "1".
-    const std::string replay = args.get("replay", "");
-    if (replay == "1") throw InvalidArgument("--replay needs a CSV file path");
-    result = scheduler.run(serve::replay_trace_file(replay, names));
-  } else if (args.flag("clients")) {
+  if (args.has("replay")) {
+    result =
+        scheduler.run(serve::replay_trace_file(args.text("replay"), names));
+  } else if (closed_loop) {
     const serve::ClosedLoopSpec spec =
-        serve::make_closed_loop(weights, clients, think);
+        serve::make_closed_loop(mix.weights, clients, think);
     result = scheduler.run_closed_loop(spec, duration);
   } else {
-    result =
-        scheduler.run(serve::poisson_arrivals(weights, rate, duration, seed));
+    result = scheduler.run(
+        serve::poisson_arrivals(mix.weights, rate, duration, config.seed));
   }
   const serve::ServeMetrics metrics =
       serve::summarize(result, names, slo, mix.slos);
@@ -697,12 +745,9 @@ int cmd_serve(const Args& args) {
             << result.batches_dispatched << " batches dispatched\n\n"
             << serve::describe(metrics);
 
-  if (args.flag("json")) {
-    std::string path = args.get("json", "serve.json");
-    if (path == "1") path = "serve.json";  // bare --json
-    std::ofstream file(path);
-    file << serve::to_json(metrics).dump() << '\n';
-    std::cout << "\nwrote " << path << '\n';
+  if (args.has("json")) {
+    std::cout << '\n';
+    write_export(args, "json", serve::to_json(metrics).dump() + '\n');
   }
   return 0;
 }
@@ -716,71 +761,43 @@ int cmd_comap(const Args& args) {
   }
 
   const topology::Topology topo = make_topology(args);
-  const accel::DesignRegistry designs =
-      args.flag("fixed") ? accel::h2h_designs() : accel::table2_designs();
+  const accel::DesignRegistry designs = make_designs(args);
 
   comap::CoMapProblem problem;
   problem.topo = &topo;
   problem.designs = &designs;
-  problem.adaptive = !args.flag("fixed");
+  problem.adaptive = !args.has("fixed");
   for (std::size_t t = 0; t < mix.names.size(); ++t) {
     problem.tenants.push_back(
         comap::Tenant{mix.names[t], mix.weights[t], mix.slos[t]});
   }
-  const double rate = number_option(args, "rate", "150");
-  if (rate <= 0.0) {
-    throw InvalidArgument("--rate must be > 0 requests/s, got '" +
-                          args.get("rate", "150") + "'");
-  }
-  const double rollout_ms = number_option(args, "rollout", "1000");
-  if (rollout_ms <= 0.0) {
-    throw InvalidArgument("--rollout must be > 0 ms, got '" +
-                          args.get("rollout", "1000") + "'");
-  }
-  const double slo_ms = number_option(args, "slo", "100");
-  if (slo_ms <= 0.0) {
-    throw InvalidArgument("--slo must be > 0 ms, got '" +
-                          args.get("slo", "100") + "'");
-  }
-  problem.rollout.rate = rate;
-  problem.rollout.duration = milliseconds(rollout_ms);
-  problem.rollout.seed = std::stoull(args.get("seed", "1"));
-  problem.rollout.policy = serve::PolicySpec::parse(args.get("policy", "none"));
-  problem.rollout.default_slo = milliseconds(slo_ms);
+  const double rate = args.number("rate", Min::kAboveZero);
+  const double rollout_ms = args.number("rollout", Min::kAboveZero);
+  const double slo_ms = args.number("slo", Min::kAboveZero);
 
   comap::CoMapConfig config;
-  config.encoding = comap::parse_encoding(args.get("encoding", "partition"));
-  config.seed = std::stoull(args.get("seed", "1"));
-  config.threads = thread_count(args);
+  config.encoding = comap::parse_encoding(args.text("encoding"));
   // Rollouts dominate: the inner per-tenant searches default to the quick
   // serving schedule (--full restores the offline default), and --quick
   // additionally shrinks the outer GA for smoke runs.
-  if (!args.flag("full")) {
-    config.inner.first_ga.population = 12;
-    config.inner.first_ga.generations = 8;
-    config.inner.second.ga.population = 8;
-    config.inner.second.ga.generations = 6;
-  }
-  config.inner.seed = config.seed;
-  config.inner.threads = config.threads;
-  if (args.flag("quick")) {
+  config.inner = make_config(args, !args.has("full"));
+  config.seed = config.inner.seed;
+  config.threads = config.inner.threads;
+  if (args.has("quick")) {
     config.ga.population = 8;
     config.ga.generations = 6;
     config.ga.stall_generations = 4;
   }
+  problem.rollout.rate = rate;
+  problem.rollout.duration = milliseconds(rollout_ms);
+  problem.rollout.seed = config.seed;
+  problem.rollout.policy = serve::PolicySpec::parse(args.text("policy"));
+  problem.rollout.default_slo = milliseconds(slo_ms);
 
-  std::optional<serve::MappingCache> cache;
-  if (args.flag("mapping-cache")) {
-    const std::string dir = args.get("mapping-cache", "");
-    if (dir == "1") {
-      throw InvalidArgument("--mapping-cache needs a directory path");
-    }
-    cache.emplace(dir);
-  }
-
+  const std::unique_ptr<serve::MappingCache> cache = open_cache(args);
   const comap::CoMapEngine engine(config);
   const comap::CoMapResult result =
-      engine.search(problem, make_budget(args), cache ? &*cache : nullptr);
+      engine.search(problem, make_budget(args), cache.get());
   // Wall-clock provenance goes to stderr: stdout is a pure function of
   // the (deterministic) result, byte-identical at any --threads.
   std::clog << "comap search took "
@@ -846,9 +863,7 @@ int cmd_comap(const Args& args) {
             << result.provenance.iterations << " generations, stopped: "
             << plan::to_string(result.provenance.stopped) << '\n';
 
-  if (args.flag("json")) {
-    std::string path = args.get("json", "comap.json");
-    if (path == "1") path = "comap.json";
+  if (args.has("json")) {
     JsonValue out = JsonValue::object();
     JsonValue tenants = JsonValue::array();
     for (std::size_t t = 0; t < problem.tenants.size(); ++t) {
@@ -880,9 +895,7 @@ int cmd_comap(const Args& args) {
     out.set("independent", score_json(result.independent_score));
     out.set("joint_won", JsonValue::boolean(result.joint_won));
     out.set("provenance", plan::to_json(result.provenance));
-    std::ofstream file(path);
-    file << out.dump() << '\n';
-    std::cout << "wrote " << path << '\n';
+    write_export(args, "json", out.dump() + '\n');
   }
   return 0;
 }
@@ -890,58 +903,25 @@ int cmd_comap(const Args& args) {
 int cmd_explore(const Args& args) {
   const ObsSession session(args);
   explore::ExploreConfig config;
-  config.model = args.get("model", "alexnet");
+  config.model = args.text("model");
   // Both parsers throw InvalidArgument naming the offending axis/value
   // (docs/EXPLORE.md grammar); an absent --space means the default grid.
-  config.space = explore::DesignSpace::parse(args.get("space", ""));
-  config.objectives =
-      explore::parse_objectives(args.get("objectives", "makespan,energy,cost"));
-  config.mapper = args.get("mapper", "ga");
-  config.tuning = make_config(args);
-  const int search_evals = int_option(args, "search-evals", "0");
-  if (search_evals < 0) {
-    throw InvalidArgument("--search-evals must be >= 0, got '" +
-                          args.get("search-evals", "0") + "'");
-  }
-  config.search_evaluations = search_evals;
-  config.population = int_option(args, "population", "12");
-  config.generations = int_option(args, "generations", "6");
-  config.seed = std::stoull(args.get("seed", "1"));
-  config.threads = thread_count(args);
-  const int front_size = int_option(args, "front-size", "0");
-  if (front_size < 0) {
-    throw InvalidArgument("--front-size must be >= 0, got '" +
-                          args.get("front-size", "0") + "'");
-  }
-  config.front_size = front_size;
+  config.space = explore::DesignSpace::parse(args.text("space"));
+  config.objectives = explore::parse_objectives(args.text("objectives"));
+  config.mapper = args.text("mapper");
+  config.tuning = make_config(args, args.has("quick"));
+  config.search_evaluations = args.integer("search-evals", 0);
+  config.population = args.integer("population");
+  config.generations = args.integer("generations");
+  config.seed = config.tuning.seed;
+  config.threads = config.tuning.threads;
+  config.front_size = args.integer("front-size", 0);
 
   // Outer budget: distinct hardware points priced and/or wall clock.
-  plan::Budget outer;
-  const double ms = number_option(args, "search-budget", "0");
-  if (ms < 0.0) {
-    throw InvalidArgument("--search-budget must be >= 0 ms, got '" +
-                          args.get("search-budget", "0") + "'");
-  }
-  outer.wall_clock = milliseconds(ms);
-  const int points = int_option(args, "points", "0");
-  if (points < 0) {
-    throw InvalidArgument("--points must be >= 0, got '" +
-                          args.get("points", "0") + "'");
-  }
-  outer.max_evaluations = points;
-
-  std::optional<serve::MappingCache> cache;
-  if (args.flag("mapping-cache")) {
-    const std::string dir = args.get("mapping-cache", "");
-    if (dir == "1") {
-      throw InvalidArgument("--mapping-cache needs a directory path");
-    }
-    cache.emplace(dir);
-  }
-
+  const plan::Budget outer = make_budget(args, "points");
+  const std::unique_ptr<serve::MappingCache> cache = open_cache(args);
   const explore::ExploreEngine engine(config);
-  const explore::ExploreResult result =
-      engine.search(cache ? &*cache : nullptr, outer);
+  const explore::ExploreResult result = engine.search(cache.get(), outer);
 
   // The front, truncated to --front-size, in canonical order. Everything
   // below is a pure function of (model, space, objectives, engine spec):
@@ -986,33 +966,21 @@ int cmd_explore(const Args& args) {
             << " s, stopped: " << plan::to_string(result.provenance.stopped)
             << ", cache hits: " << result.cache_hits << '\n';
 
-  if (args.flag("csv")) {
-    const std::string path = args.get("csv", "");
-    if (path == "1") {
-      throw InvalidArgument("--csv needs an output file path");
-    }
-    std::ofstream file(path);
-    file << explore::front_csv(result, config);
-    std::cout << "wrote " << path << '\n';
+  if (args.has("csv")) {
+    write_export(args, "csv", explore::front_csv(result, config));
   }
-  if (args.flag("json")) {
-    const std::string path = args.get("json", "");
-    if (path == "1") {
-      throw InvalidArgument("--json needs an output file path");
-    }
-    std::ofstream file(path);
-    file << explore::front_json(result, config) << '\n';
-    std::cout << "wrote " << path << '\n';
+  if (args.has("json")) {
+    write_export(args, "json", explore::front_json(result, config) + '\n');
   }
   return 0;
 }
 
 int cmd_warm(const Args& args) {
   const ObsSession session(args);
-  // Accept --models a,b,c and/or repeated --model NAME (bare names; the
-  // cache key is per model, weights/SLOs play no part in planning).
-  std::vector<std::string> names = args.all("model");
-  for (const std::string& csv : args.all("models")) {
+  // --models a,b,c and/or repeated --model NAME (bare names; the cache
+  // key is per model, weights/SLOs play no part in planning).
+  std::vector<std::string> names = args.list("model");
+  for (const std::string& csv : args.list("models")) {
     for (const std::string& name : split(csv, ',')) {
       if (!name.empty()) names.push_back(name);
     }
@@ -1020,92 +988,102 @@ int cmd_warm(const Args& args) {
   if (names.empty()) {
     throw InvalidArgument("warm needs --models a,b,c (or repeated --model)");
   }
-  const std::string dir = args.get("mapping-cache", "");
-  if (dir.empty() || dir == "1") {
+  if (!args.has("mapping-cache")) {
     throw InvalidArgument("warm needs --mapping-cache DIR (the cache to fill)");
   }
 
   const topology::Topology topo = make_topology(args);
-  const accel::DesignRegistry designs =
-      args.flag("fixed") ? accel::h2h_designs() : accel::table2_designs();
-  core::MarsConfig config;
-  config.seed = std::stoull(args.get("seed", "1"));
-  config.threads = thread_count(args);
-  if (!args.flag("full")) {
-    config.first_ga.population = 12;
-    config.first_ga.generations = 8;
-    config.second.ga.population = 8;
-    config.second.ga.generations = 6;
-  }
-  const std::unique_ptr<plan::SearchEngine> engine = make_engine(args, config);
-  const serve::MappingCache cache(dir);
+  const accel::DesignRegistry designs = make_designs(args);
+  const std::unique_ptr<plan::SearchEngine> engine = plan::make_engine(
+      args.text("mapper"), make_config(args, !args.has("full")));
+  const std::unique_ptr<serve::MappingCache> cache = open_cache(args);
 
   const std::vector<std::unique_ptr<serve::ModelService>> services =
-      serve::plan_services(names, topo, designs, !args.flag("fixed"), *engine,
-                           &cache, make_budget(args));
+      serve::plan_services(names, topo, designs, !args.has("fixed"), *engine,
+                           cache.get(), make_budget(args));
   for (const std::unique_ptr<serve::ModelService>& service : services) {
     std::cout << "warm " << service->name() << ": "
               << serve::to_string(service->mapping_source()) << '\n';
   }
-  std::cout << "cache " << cache.dir() << ": hits=" << cache.hits()
-            << " misses=" << cache.misses() << " stores=" << cache.stores()
+  std::cout << "cache " << cache->dir() << ": hits=" << cache->hits()
+            << " misses=" << cache->misses() << " stores=" << cache->stores()
             << '\n';
   return 0;
 }
 
-int usage(std::ostream& os) {
-  os << "usage: mars_map "
-        "<models|profile|map|baseline|throughput|serve|comap|explore|warm> "
-        "[--model NAME] [--topology f1|cloud:<n>:<gbps>|ring:<n>:<gbps>] "
-        "[--model-file PATH] "
-        "[--mapper ga|anneal|random|baseline|portfolio|race:<m>+<m>[,MS]] "
-        "[--search-budget MS] [--search-evals N] [--threads N] "
-        "[--seed N] [--quick] [--fixed] [--json PATH] [--batch N] "
-        "[--trace FILE.json] [--metrics FILE.json]\n"
-        "serve options: --model NAME[:WEIGHT[:SLO_MS]] (repeatable) "
-        "--rate RPS --duration S --slo MS "
-        "--policy [none|size:N|timeout:MS[:N]][+slo:MS|+shed:N] "
-        "--mapper NAME --threads N --shards N --shard-models 'a+b/c' "
-        "--mapping-cache DIR --full --replay CSV --clients N --think MS\n"
-        "comap options: --model NAME[:WEIGHT[:SLO_MS]] (repeatable) "
-        "--encoding partition|interleave --rate RPS --rollout MS --slo MS "
-        "--policy SPEC --seed N --threads N --quick --full "
-        "--mapping-cache DIR --json PATH\n"
-        "explore options: --model NAME --space "
-        "'families=clique,ring;accs=2,4;bw=8;menus=full' "
-        "--objectives makespan,energy,cost --front-size N "
-        "--population N --generations N --points N --search-budget MS "
-        "--search-evals N --mapper NAME --seed N --threads N --quick "
-        "--mapping-cache DIR --csv PATH --json PATH\n"
-        "warm options: --models a,b,c --mapping-cache DIR [--mapper NAME] "
-        "[--full] [--threads N]\n"
-        "full reference: docs/CLI.md, docs/SEARCH.md, docs/COMAP.md and "
-        "docs/OBSERVABILITY.md\n";
-  return 1;
+// ---------------------------------------------------------------- dispatch
+
+struct Subcommand {
+  const char* name;
+  unsigned bit;
+  int (*run)(const Args&);
+  const char* summary;
+};
+
+constexpr Subcommand kSubcommands[] = {
+    {"models", kModels, cmd_models, "List the model zoo"},
+    {"profile", kProfile, cmd_profile,
+     "Per-layer best-design profile (Table II style)"},
+    {"map", kMap, cmd_map, "Run a mapping search and print the mapping"},
+    {"baseline", kBaseline, cmd_baseline,
+     "The Herald-extended baseline mapping and its latency"},
+    {"throughput", kThroughput, cmd_throughput,
+     "Pipelined multi-image throughput of the searched mapping"},
+    {"serve", kServe, cmd_serve, "Online multi-tenant serving simulation"},
+    {"comap", kComap, cmd_comap,
+     "Joint multi-tenant co-mapping under a serving-rollout fitness"},
+    {"explore", kExplore, cmd_explore,
+     "Hardware-mapping co-search: a Pareto front of platforms"},
+    {"warm", kWarm, cmd_warm, "Pre-populate a mapping cache"},
+};
+
+/// The help text, generated from the subcommand and flag tables.
+void print_help(std::ostream& os) {
+  os << "usage: mars_map <command> [flags]\n\ncommands:\n";
+  for (const Subcommand& sub : kSubcommands) {
+    const std::string name = sub.name;
+    os << "  " << name << std::string(12 - name.size(), ' ') << sub.summary
+       << '\n';
+  }
+  os << "  help        Print this help (also --help, -h)\n"
+     << "\nflags (a value flag takes the next argument; a flag the command "
+        "does not take,\na positional argument or a value flag without its "
+        "value is a usage error):\n";
+  for (const Flag& flag : kFlags) {
+    std::vector<std::string> commands;
+    for (const Subcommand& sub : kSubcommands) {
+      if ((flag.commands & sub.bit) != 0) commands.emplace_back(sub.name);
+    }
+    os << "  --" << flag.name << (*flag.value != '\0' ? " " : "") << flag.value
+       << "  [" << join(commands, " ")
+       << (flag.kind == Kind::kList ? "; repeatable" : "")
+       << (*flag.fallback != '\0' ? std::string("; default ") + flag.fallback
+                                  : std::string())
+       << "]\n      " << flag.help << '\n';
+  }
+  os << "\nexit codes: 0 success, 1 usage error, 2 runtime failure\n"
+        "reference: docs/CLI.md\n";
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Args args = parse(argc, argv);
+  const std::string name = argc >= 2 ? argv[1] : "";
+  if (name == "help" || name == "--help" || name == "-h") {
+    print_help(std::cout);
+    return 0;
+  }
+  const Subcommand* sub = nullptr;
+  for (const Subcommand& candidate : kSubcommands) {
+    if (name == candidate.name) sub = &candidate;
+  }
+  if (sub == nullptr) {
+    if (!name.empty()) std::cerr << "error: unknown command '" << name << "'\n";
+    print_help(name.empty() ? std::cout : std::cerr);
+    return 1;
+  }
   try {
-    if (args.command == "models") return cmd_models();
-    if (args.command == "profile") return cmd_profile(args);
-    if (args.command == "map") return cmd_map(args);
-    if (args.command == "baseline") return cmd_baseline(args);
-    if (args.command == "throughput") return cmd_throughput(args);
-    if (args.command == "serve") return cmd_serve(args);
-    if (args.command == "comap") return cmd_comap(args);
-    if (args.command == "explore") return cmd_explore(args);
-    if (args.command == "warm") return cmd_warm(args);
-    if (args.command == "help" || args.command == "--help" ||
-        args.command == "-h") {
-      usage(std::cout);
-      return 0;
-    }
-    if (args.command.empty()) return usage(std::cout);
-    std::cerr << "error: unknown command '" << args.command << "'\n";
-    return usage(std::cerr);
+    return sub->run(Args(name, sub->bit, argc, argv));
   } catch (const InvalidArgument& e) {
     std::cerr << "error: " << e.what() << '\n';
     return 1;
