@@ -10,11 +10,13 @@
 //                   autoscaling planning curve: how many accelerators a
 //                   traffic level needs before goodput collapses);
 //   --fleet-scale   sharded-serving throughput: ~1M simulated requests
-//                   routed across {1,2,4,8} replica groups at --threads
-//                   {1,4}, with an in-bench byte-identity gate (any
-//                   thread count, and repeat runs, must produce the
-//                   identical merged result — exit 1 on mismatch).
-//                   --smoke shrinks the stream for CI;
+//                   under shed:8, plus an at-capacity point (30 rps per
+//                   group, no admission control), routed across
+//                   {1,2,4,8} replica groups at --threads {1,4}, with an
+//                   in-bench byte-identity gate (any thread count, and
+//                   repeat runs, must produce the identical merged
+//                   result — exit 1 on mismatch). --smoke shrinks the
+//                   streams for CI;
 //   (always)        a mapping-cache demonstration first: the same fleet
 //                   is planned cold (GA search) and warm (cache load),
 //                   and both startup times are reported.
@@ -249,21 +251,40 @@ void run_autoscale_sweep(const Options& options) {
                   csv_rows);
 }
 
-/// Fleet-scale throughput: one Poisson request stream routed across
+/// One fleet-scale operating point: a policy and an offered rate, in
+/// total or per replica group.
+struct FleetPoint {
+  std::string policy;
+  double rate = 0.0;  // offered requests per second
+  bool per_group = false;
+  Seconds duration{};
+};
+
+/// Fleet-scale throughput: Poisson request streams routed across
 /// {1,2,4,8} replica groups (each a 4-accelerator cloud running the
-/// two-model fleet), at worker-thread counts {1,4}. Admission control
-/// (shed:8) keeps every configuration saturated-but-bounded, so the
-/// bench measures the router + per-shard event loop, not unbounded
-/// queue growth. Every (shards) row asserts the merged result is
-/// byte-identical across thread counts and across a repeat run; any
-/// mismatch fails the bench (exit 1) — this is the CI determinism gate.
+/// two-model fleet), at worker-thread counts {1,4}, at two operating
+/// points:
+///   - overloaded: one ~100x-capacity stream for every shard count,
+///     bounded by shed:8, so the bench measures the router + per-shard
+///     event loop rather than unbounded queue growth (nearly everything
+///     sheds);
+///   - at capacity: 30 rps per replica group (about 85% of what a group
+///     sustains) with no admission control, so nothing sheds and queues
+///     build and drain — the path where tasks wait on busy accelerators
+///     and links.
+/// Every (point, shards) row asserts the merged result is byte-identical
+/// across thread counts and across a repeat run; any mismatch fails the
+/// bench (exit 1) — this is the CI determinism gate.
 int run_fleet_scale(const Options& options, bool smoke) {
-  const double rate = smoke ? 25000.0 : 100000.0;
-  const Seconds duration(smoke ? 2.0 : 10.0);
-  std::cout << "=== Fleet-scale sharded serving: ~"
-            << static_cast<long long>(rate * duration.count())
-            << " simulated requests (" << join(fleet_models(), " + ")
-            << ", 4-accelerator replica groups, policy shed:8) ===\n";
+  const std::vector<FleetPoint> points = {
+      {"shed:8", smoke ? 25000.0 : 100000.0, false,
+       Seconds(smoke ? 2.0 : 10.0)},
+      {"none", 30.0, true, Seconds(smoke ? 20.0 : 200.0)},
+  };
+  std::cout << "=== Fleet-scale sharded serving (" << join(fleet_models(), " + ")
+            << ", 4-accelerator replica groups): ~"
+            << static_cast<long long>(points[0].rate * points[0].duration.count())
+            << " requests under shed:8, and 30 rps per group under none ===\n";
 
   // One replica group's topology; every shard is a copy, so all shard
   // counts share the same planned services.
@@ -273,81 +294,86 @@ int run_fleet_scale(const Options& options, bool smoke) {
       serve::plan_services(fleet_models(), group, designs, /*adaptive=*/false,
                            *bench_engine(options, "baseline"));
   const std::vector<const serve::ModelService*> refs = as_refs(services);
-
   const std::vector<double> mix = {1.0, 1.0};
-  const std::vector<serve::Request> arrivals =
-      serve::poisson_arrivals(mix, rate, duration, options.seed);
-  const serve::PolicySpec policy = serve::PolicySpec::parse("shed:8");
 
   bool all_identical = true;
   std::vector<std::vector<std::string>> csv_rows;
-  Table table({"Shards", "Threads", "Offered", "Served", "Shed rate",
-               "p99 /ms", "Wall /s", "Wall req/s", "Identical"});
-  for (int shards : {1, 2, 4, 8}) {
-    std::optional<std::uint64_t> reference;
-    for (int threads : {1, 4}) {
-      serve::FleetOptions fleet_options;
-      fleet_options.shards = shards;
-      fleet_options.threads = threads;
-      fleet_options.scheduler.policy = policy.batch;
-      fleet_options.scheduler.admission = policy.admission;
-      const serve::FleetScheduler scheduler(group, refs, fleet_options);
+  Table table({"Policy", "Shards", "Threads", "Offered", "Served",
+               "Shed rate", "p99 /ms", "Wall /s", "Wall req/s", "Identical"});
+  for (const FleetPoint& point : points) {
+    const serve::PolicySpec policy = serve::PolicySpec::parse(point.policy);
+    for (int shards : {1, 2, 4, 8}) {
+      const double rate = point.per_group ? point.rate * shards : point.rate;
+      const std::vector<serve::Request> arrivals =
+          serve::poisson_arrivals(mix, rate, point.duration, options.seed);
+      std::optional<std::uint64_t> reference;
+      for (int threads : {1, 4}) {
+        serve::FleetOptions fleet_options;
+        fleet_options.shards = shards;
+        fleet_options.threads = threads;
+        fleet_options.scheduler.policy = policy.batch;
+        fleet_options.scheduler.admission = policy.admission;
+        const serve::FleetScheduler scheduler(group, refs, fleet_options);
 
-      const auto start = std::chrono::steady_clock::now();
-      const serve::ServeResult result = scheduler.run(arrivals);
-      const double wall = seconds_since(start);
-      std::uint64_t digest = result_digest(result);
-      // Repeat the 4-thread run: same seed, same bytes, or the gate fails.
-      if (threads == 4) {
-        const std::uint64_t again = result_digest(scheduler.run(arrivals));
-        if (again != digest) {
-          std::cerr << "FLEET-SCALE MISMATCH: shards=" << shards
-                    << " threads=4 repeat run diverged\n";
+        const auto start = std::chrono::steady_clock::now();
+        const serve::ServeResult result = scheduler.run(arrivals);
+        const double wall = seconds_since(start);
+        std::uint64_t digest = result_digest(result);
+        const std::string where =
+            point.policy + " shards=" + std::to_string(shards);
+        // Repeat the 4-thread run: same seed, same bytes, or the gate fails.
+        if (threads == 4) {
+          const std::uint64_t again = result_digest(scheduler.run(arrivals));
+          if (again != digest) {
+            std::cerr << "FLEET-SCALE MISMATCH: " << where
+                      << " threads=4 repeat run diverged\n";
+            all_identical = false;
+          }
+        }
+        if (!reference) reference = digest;
+        const bool identical = digest == *reference;
+        if (!identical) {
+          std::cerr << "FLEET-SCALE MISMATCH: " << where
+                    << " threads=" << threads
+                    << " diverged from the threads=1 reference\n";
           all_identical = false;
         }
-      }
-      if (!reference) reference = digest;
-      const bool identical = digest == *reference;
-      if (!identical) {
-        std::cerr << "FLEET-SCALE MISMATCH: shards=" << shards
-                  << " threads=" << threads
-                  << " diverged from the threads=1 reference\n";
-        all_identical = false;
-      }
 
-      const serve::ServeMetrics metrics = serve::summarize(
-          result, fleet_models(), milliseconds(kSlOMillis));
-      const double wall_rps =
-          wall > 0.0 ? static_cast<double>(metrics.offered) / wall : 0.0;
-      table.add_row({std::to_string(shards), std::to_string(threads),
-                     std::to_string(metrics.offered),
-                     std::to_string(metrics.requests),
-                     format_double(metrics.shed_rate * 100.0, 1) + "%",
-                     format_double(metrics.latency.p99.millis(), 2),
-                     format_double(wall, 3), format_double(wall_rps, 0),
-                     identical ? "yes" : "NO"});
-      csv_rows.push_back(
-          {std::to_string(shards), std::to_string(threads),
-           std::to_string(metrics.offered), std::to_string(metrics.requests),
-           std::to_string(metrics.rejected),
-           format_double(metrics.shed_rate, 4),
-           format_double(metrics.latency.p99.millis(), 4),
-           format_double(metrics.throughput_rps, 2), format_double(wall, 4),
-           format_double(wall_rps, 0), identical ? "1" : "0"});
+        const serve::ServeMetrics metrics = serve::summarize(
+            result, fleet_models(), milliseconds(kSlOMillis));
+        const double wall_rps =
+            wall > 0.0 ? static_cast<double>(metrics.offered) / wall : 0.0;
+        table.add_row({point.policy, std::to_string(shards),
+                       std::to_string(threads),
+                       std::to_string(metrics.offered),
+                       std::to_string(metrics.requests),
+                       format_double(metrics.shed_rate * 100.0, 1) + "%",
+                       format_double(metrics.latency.p99.millis(), 2),
+                       format_double(wall, 3), format_double(wall_rps, 0),
+                       identical ? "yes" : "NO"});
+        csv_rows.push_back(
+            {point.policy, std::to_string(shards), std::to_string(threads),
+             std::to_string(metrics.offered), std::to_string(metrics.requests),
+             std::to_string(metrics.rejected),
+             format_double(metrics.shed_rate, 4),
+             format_double(metrics.latency.p99.millis(), 4),
+             format_double(metrics.throughput_rps, 2), format_double(wall, 4),
+             format_double(wall_rps, 0), identical ? "1" : "0"});
+      }
+      table.add_separator();
     }
-    table.add_separator();
   }
   std::cout << table;
   maybe_write_csv(options,
-                  {"shards", "threads", "offered", "served", "rejected",
-                   "shed_rate", "p99_ms", "sim_throughput_rps", "wall_s",
-                   "wall_rps", "identical"},
+                  {"policy", "shards", "threads", "offered", "served",
+                   "rejected", "shed_rate", "p99_ms", "sim_throughput_rps",
+                   "wall_s", "wall_rps", "identical"},
                   csv_rows);
   if (!all_identical) {
     std::cerr << "fleet-scale determinism gate FAILED\n";
     return 1;
   }
-  std::cout << "determinism gate: all shard/thread configurations "
+  std::cout << "determinism gate: all policy/shard/thread configurations "
                "byte-identical\n";
   return 0;
 }

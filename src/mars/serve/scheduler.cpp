@@ -128,8 +128,10 @@ class Engine {
   /// vectors. One fixed allocation each, so steady-state dispatch stays
   /// heap-silent. The heap slack covers every task event of up to 16
   /// concurrently live instances per model — an unfinished task holds at
-  /// most one outstanding event — which is exact under bounded admission
-  /// (shed:N, N <= 16); deeper configurations regrow the heap amortised.
+  /// most one outstanding event, since a task waiting for a busy resource
+  /// holds none and each wake event stands for at least one waiting task —
+  /// which is exact under bounded admission (shed:N, N <= 16); deeper
+  /// configurations regrow the heap amortised.
   void reserve(std::size_t arrivals) {
     std::size_t task_slack = 64;
     for (const ServedModel& model : *models_) {

@@ -7,9 +7,10 @@
 // (ModelService::flat_proto — a header plus per-task missing-dependency
 // counters, no heap clone), the acc_free / channel_free timelines, the
 // route cache, and the one FIFO contention rule — one compute per
-// accelerator, one flow per channel, busy resources retried at their free
-// time, ties by event insertion order. This is where co-resident models
-// interfere: their tasks queue on the same timelines.
+// accelerator, one flow per channel, tasks that find a resource busy
+// parked until its free time and started in retry order, ties by event
+// insertion order. This is where co-resident models interfere: their
+// tasks queue on the same timelines.
 //
 // OnlineScheduler is the kernel's host. It keeps request arrivals,
 // per-model Batchers, admission, closed-loop reissue, tracing and metrics,
