@@ -1,23 +1,23 @@
-// Shared plumbing for the experiment harnesses: budget presets, CLI flags
-// (--quick for smoke runs, --csv to emit machine-readable results, --seed),
-// and problem-bundle construction.
+// Shared plumbing for the experiment harnesses: budget presets and the one
+// CLI parser (--quick for smoke runs, --csv to emit machine-readable
+// results, --seed, plus each harness's own switches).
 #pragma once
 
+#include <algorithm>
+#include <charconv>
+#include <cstdlib>
+#include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
-#include "mars/accel/registry.h"
-#include "mars/core/baseline.h"
-#include "mars/core/evaluator.h"
-#include "mars/core/h2h.h"
 #include "mars/core/mars.h"
-#include "mars/graph/models/models.h"
 #include "mars/plan/engines.h"
-#include "mars/topology/presets.h"
 #include "mars/util/csv.h"
 #include "mars/util/strings.h"
 #include "mars/util/table.h"
@@ -28,22 +28,77 @@ struct Options {
   bool quick = false;
   std::optional<std::string> csv_path;
   std::uint64_t seed = 1;
+  /// The caller's own switches that were given, and the positional
+  /// arguments (only when the caller takes them).
+  std::vector<std::string> switches;
+  std::vector<std::string> positional;
+  std::string usage;
+
+  [[nodiscard]] bool has(std::string_view name) const {
+    return std::find(switches.begin(), switches.end(), name) !=
+           switches.end();
+  }
 };
 
-inline Options parse_options(int argc, char** argv) {
+/// Prints `message` and the usage line to stderr and exits 1.
+[[noreturn]] inline void usage_error(const Options& options,
+                                     const std::string& message) {
+  std::cerr << "error: " << message << '\n' << options.usage << '\n';
+  std::exit(1);
+}
+
+/// Parses --quick, --seed N and --csv PATH plus the caller's own
+/// `switches`. `positional` names the positional arguments the caller
+/// takes (e.g. "section ..."); empty means none. Anything else is a usage
+/// error that names the flag: an unknown flag, a value flag without its
+/// value, or a seed that is not a whole unsigned 64-bit integer.
+inline Options parse_options(
+    int argc, char** argv,
+    std::initializer_list<std::string_view> switches = {},
+    std::string_view positional = {}) {
   Options options;
+  options.usage = "usage: " +
+                  std::filesystem::path(argv[0]).filename().string() +
+                  " [--quick] [--seed N] [--csv PATH]";
+  for (std::string_view name : switches) {
+    options.usage += " [" + std::string(name) + "]";
+  }
+  if (!positional.empty()) {
+    options.usage += " [" + std::string(positional) + "]";
+  }
+
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--quick") {
-      options.quick = true;
-    } else if (arg == "--csv" && i + 1 < argc) {
-      options.csv_path = argv[++i];
-    } else if (arg == "--seed" && i + 1 < argc) {
-      options.seed = std::stoull(argv[++i]);
-    } else if (arg == "--help" || arg == "-h") {
-      std::cout << "usage: " << argv[0]
-                << " [--quick] [--csv <path>] [--seed <n>]\n";
+    if ((arg == "--seed" || arg == "--csv") &&
+        (i + 1 == argc || std::string_view(argv[i + 1]).starts_with("--"))) {
+      usage_error(options, arg + " needs a value");
+    }
+    if (arg == "--help" || arg == "-h") {
+      std::cout << options.usage << '\n';
       std::exit(0);
+    } else if (arg == "--quick") {
+      options.quick = true;
+    } else if (arg == "--csv") {
+      options.csv_path = argv[++i];
+    } else if (arg == "--seed") {
+      const std::string_view value = argv[++i];
+      const char* end = value.data() + value.size();
+      const auto [stop, error] =
+          std::from_chars(value.data(), end, options.seed);
+      if (value.empty() || error != std::errc() || stop != end) {
+        usage_error(options,
+                    "--seed must be an unsigned 64-bit integer, got '" +
+                        std::string(value) + "'");
+      }
+    } else if (std::find(switches.begin(), switches.end(), arg) !=
+               switches.end()) {
+      options.switches.push_back(arg);
+    } else if (arg.starts_with("-") || positional.empty()) {
+      usage_error(options, arg.starts_with("-")
+                               ? "unknown flag '" + arg + "'"
+                               : "unexpected argument '" + arg + "'");
+    } else {
+      options.positional.push_back(arg);
     }
   }
   return options;
@@ -79,47 +134,22 @@ inline std::unique_ptr<plan::SearchEngine> bench_engine(
   return plan::make_engine(name, mars_config(options));
 }
 
-/// Everything one experiment needs, with stable storage.
-struct Bundle {
-  graph::Graph model;
-  graph::ConvSpine spine;
-  topology::Topology topo;
-  accel::DesignRegistry designs;
-  core::Problem problem;
-
-  Bundle(graph::Graph m, topology::Topology t, accel::DesignRegistry d,
-         bool adaptive)
-      : model(std::move(m)),
-        spine(graph::ConvSpine::extract(model)),
-        topo(std::move(t)),
-        designs(std::move(d)) {
-    problem.spine = &spine;
-    problem.topo = &topo;
-    problem.designs = &designs;
-    problem.adaptive = adaptive;
-  }
-};
-
-inline std::unique_ptr<Bundle> f1_bundle(const std::string& model_name) {
-  return std::make_unique<Bundle>(graph::models::by_name(model_name),
-                                  topology::f1_16xlarge(),
-                                  accel::table2_designs(), /*adaptive=*/true);
-}
-
-inline std::unique_ptr<Bundle> h2h_bundle(const std::string& model_name,
-                                          Bandwidth bw) {
-  return std::make_unique<Bundle>(graph::models::by_name(model_name),
-                                  topology::h2h_cloud(8, bw, 4),
-                                  accel::h2h_designs(), /*adaptive=*/false);
-}
-
+/// Writes `rows` to --csv when given. A file that cannot be written is a
+/// runtime failure: a named error on stderr, exit 2.
 inline void maybe_write_csv(const Options& options,
                             const std::vector<std::string>& header,
                             const std::vector<std::vector<std::string>>& rows) {
   if (!options.csv_path) return;
   std::ofstream file(*options.csv_path);
-  CsvWriter csv(file, header);
-  for (const auto& row : rows) csv.add_row(row);
+  if (file) {
+    CsvWriter csv(file, header);
+    for (const auto& row : rows) csv.add_row(row);
+    file.flush();
+  }
+  if (!file) {
+    std::cerr << "error: cannot write CSV to '" << *options.csv_path << "'\n";
+    std::exit(2);
+  }
   std::cout << "wrote " << rows.size() << " rows to " << *options.csv_path
             << '\n';
 }

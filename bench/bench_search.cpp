@@ -26,6 +26,7 @@
 #include "mars/core/serialize.h"
 #include "mars/plan/engines.h"
 #include "mars/plan/planner.h"
+#include "mars/topology/presets.h"
 
 namespace mars::bench {
 namespace {
@@ -204,13 +205,10 @@ void run_threads_grid(const Options& options, bool smoke, bool write_csv) {
 }  // namespace mars::bench
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  bool threads_only = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--smoke") smoke = true;
-    if (std::string(argv[i]) == "--threads-grid") threads_only = true;
-  }
-  const mars::bench::Options options = mars::bench::parse_options(argc, argv);
+  const mars::bench::Options options =
+      mars::bench::parse_options(argc, argv, {"--smoke", "--threads-grid"});
+  const bool smoke = options.has("--smoke");
+  const bool threads_only = options.has("--threads-grid");
   if (!threads_only) mars::bench::run_engine_grid(options, smoke);
   mars::bench::run_threads_grid(options, smoke, /*write_csv=*/threads_only);
   return 0;

@@ -2,8 +2,8 @@
 //
 // Mirrors the event-driven simulator's structure (compute phases, SS rings,
 // All-Reduce, resharding, inter-set transfers, host I/O) with closed-form
-// times instead of contention replay. Bench A4 (bench_sim_agreement)
-// quantifies the gap between the two paths.
+// times instead of contention replay. `bench_paper a4` quantifies the gap
+// between the two paths.
 #pragma once
 
 #include <optional>
