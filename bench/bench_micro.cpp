@@ -8,7 +8,8 @@
 // `bench_micro --smoke` skips google-benchmark and runs the CI gate
 // instead: a quick differential check (incremental pricing must be
 // bit-identical to the full path) followed by a full-vs-incremental
-// throughput comparison against the checked-in floors in
+// throughput comparison, and a table-vs-reference comparison of the
+// second-level greedy oracle, against the checked-in floors in
 // bench/micro_floor.txt. Exits non-zero when a floor regresses by more
 // than 20%.
 #include <benchmark/benchmark.h>
@@ -18,9 +19,11 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <vector>
 
 #include "mars/accel/registry.h"
@@ -34,23 +37,31 @@
 #include "mars/topology/presets.h"
 #include "mars/util/worker_pool.h"
 #include "support/mutation_stream.h"
+#include "support/reference_greedy.h"
 
 namespace {
 
 using namespace mars;  // NOLINT: bench-local convenience
 
 struct Fixture {
+  explicit Fixture(graph::Graph model)
+      : planner(std::move(model), topo, designs, /*adaptive=*/true) {}
+
   topology::Topology topo = topology::f1_16xlarge();
   accel::DesignRegistry designs = accel::table2_designs();
   // The Planner owns the graph -> spine -> Problem chain.
-  plan::Planner planner{graph::models::vgg16(), topo, designs,
-                        /*adaptive=*/true};
+  plan::Planner planner;
   const graph::ConvSpine& spine = planner.spine();
   const core::Problem& problem = planner.problem();
 };
 
 Fixture& fixture() {
-  static Fixture f;
+  static Fixture f(graph::models::vgg16());
+  return f;
+}
+
+Fixture& resnet_fixture() {
+  static Fixture f(graph::models::by_name("resnet50"));
   return f;
 }
 
@@ -233,11 +244,15 @@ BENCHMARK(BM_MutationEvalIncremental)->DenseRange(0, 2);
 
 // --------------------------------------------------------------- smoke gate
 
-/// Floors are speedup ratios (incremental / full evals/sec), not absolute
+/// Floors are speedup ratios (incremental / full evals/sec, or table /
+/// reference greedy sets/sec for `oracle-greedy`), not absolute
 /// throughputs, so the gate is portable across CI machines. Keep in sync
 /// with bench/micro_floor.txt (the checked-in copy wins when readable).
 std::map<std::string, double> default_floors() {
-  return {{"anneal-move", 2.00}, {"ga-mutate", 1.00}, {"ga-cross", 0.90}};
+  return {{"anneal-move", 2.00},
+          {"ga-mutate", 1.00},
+          {"ga-cross", 0.90},
+          {"oracle-greedy", 6.00}};
 }
 
 std::map<std::string, double> load_floors(const std::string& path) {
@@ -292,6 +307,82 @@ bool run_differential(const core::Problem& problem) {
   return true;
 }
 
+/// The distinct sets a GA-mutation stream asks the second level to price —
+/// the greedy oracle's real input mix.
+std::vector<core::LayerAssignment> stream_sets(const core::Problem& problem,
+                                               unsigned seed) {
+  core::SkeletonSpace space(problem, {});
+  std::vector<core::LayerAssignment> sets;
+  std::set<std::tuple<int, int, topology::AccMask, accel::DesignId>> seen;
+  for (const auto& c : make_stream(space, testing::MoveShape::kGaMutate, 40, 8, seed)) {
+    for (const core::Skeleton& skeleton : space.decode_batch(c.children)) {
+      for (const core::LayerAssignment& set : skeleton.sets) {
+        if (seen.emplace(set.begin, set.end, set.accs, set.design).second) {
+          sets.push_back(set);
+        }
+      }
+    }
+  }
+  return sets;
+}
+
+/// Table greedy vs the reference option loop on the vgg16 and resnet50
+/// stream sets: every answer must be bit-identical, and the table's
+/// steady-state throughput (tables warm, as after a search's first
+/// generation) must hold its floor over the reference.
+bool run_oracle_gate(const std::map<std::string, double>& floors) {
+  const core::SecondLevelConfig config;
+  double best_ref = 0.0;
+  double best_table = 0.0;
+  std::size_t priced = 0;
+  for (const Fixture* fx : {&fixture(), &resnet_fixture()}) {
+    const std::vector<core::LayerAssignment> sets = stream_sets(fx->problem, 2023);
+    const core::SecondLevelSearch search(fx->problem, config);
+    for (const core::LayerAssignment& set : sets) {
+      if (!core::testing::bit_identical(
+              core::testing::reference_greedy(search.model(), config, set),
+              search.greedy(set))) {
+        std::fprintf(stderr, "[smoke] FAIL: table greedy != reference greedy (%s)\n",
+                     fx->planner.model().name().c_str());
+        return false;
+      }
+    }
+    double ref_s = 1e30;
+    double table_s = 1e30;
+    double sink = 0.0;
+    for (int rep = 0; rep < 5; ++rep) {
+      auto t0 = std::chrono::steady_clock::now();
+      for (const core::LayerAssignment& set : sets) {
+        sink += core::testing::reference_greedy(search.model(), config, set)
+                    .cost.penalized.count();
+      }
+      auto t1 = std::chrono::steady_clock::now();
+      for (const core::LayerAssignment& set : sets) {
+        sink += search.greedy(set).cost.penalized.count();
+      }
+      auto t2 = std::chrono::steady_clock::now();
+      ref_s = std::min(ref_s, std::chrono::duration<double>(t1 - t0).count());
+      table_s = std::min(table_s, std::chrono::duration<double>(t2 - t1).count());
+    }
+    benchmark::DoNotOptimize(sink);
+    best_ref += ref_s;
+    best_table += table_s;
+    priced += sets.size();
+  }
+  const double ref_sps = static_cast<double>(priced) / best_ref;
+  const double table_sps = static_cast<double>(priced) / best_table;
+  const double speedup = table_sps / ref_sps;
+  const double floor = floors.at("oracle-greedy");
+  const double gate = floor * 0.8;  // 20% regression allowance
+  const bool pass = speedup >= gate;
+  std::printf(
+      "[smoke] %-11s reference %7.0f sets/s  table %7.0f sets/s  "
+      "speedup %.2fx  (floor %.2fx, gate %.2fx) %s\n",
+      "oracle-greedy", ref_sps, table_sps, speedup, floor, gate,
+      pass ? "ok" : "REGRESSED");
+  return pass;
+}
+
 int run_smoke_gate(const std::string& floor_path) {
   const auto& fx = fixture();
   if (!run_differential(fx.problem)) return 1;
@@ -344,6 +435,7 @@ int run_smoke_gate(const std::string& floor_path) {
         kShapeNames[s], full_eps, inc_eps, speedup, floor, gate,
         pass ? "ok" : "REGRESSED");
   }
+  ok = run_oracle_gate(floors) && ok;
   return ok ? 0 : 1;
 }
 

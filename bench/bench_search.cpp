@@ -60,7 +60,7 @@ void run_engine_grid(const Options& options, bool smoke) {
             << " ms simulated\n\n";
 
   Table table({"Engine", "Budget /evals", "Evals used", "Analytic /ms",
-               "Simulated /ms", "vs baseline", "Wall /s", "Stopped"});
+               "Simulated /ms", "vs baseline", "Wall /ms", "Stopped"});
   std::vector<std::vector<std::string>> csv_rows;
   for (const std::string& name : plan::engine_names()) {
     for (long long budget_evals : budgets) {
@@ -78,7 +78,7 @@ void run_engine_grid(const Options& options, bool smoke) {
            format_double(result.summary.analytic_makespan.millis(), 3),
            format_double(result.summary.simulated.millis(), 3),
            format_double(vs_baseline, 3) + "x",
-           format_double(result.provenance.elapsed.count(), 3),
+           format_double(result.provenance.elapsed.millis(), 2),
            plan::to_string(result.provenance.stopped)});
       csv_rows.push_back(
           {name, std::to_string(budget_evals),
@@ -144,7 +144,7 @@ void run_threads_grid(const Options& options, bool smoke, bool write_csv) {
             << ", budget " << budget_evals << " evals, seed " << options.seed
             << ") ===\n";
 
-  Table table({"Engine", "Threads", "Wall /s", "Speedup", "Simulated /ms",
+  Table table({"Engine", "Threads", "Wall /ms", "Speedup", "Simulated /ms",
                "Mapping vs 1 thread"});
   std::vector<std::vector<std::string>> csv_rows;
   for (const std::string& name :
@@ -172,7 +172,7 @@ void run_threads_grid(const Options& options, bool smoke, bool write_csv) {
       const bool identical = mapping_json == serial_json;
       const double speedup = wall > 0.0 ? serial_wall / wall : 1.0;
       table.add_row({name, std::to_string(threads),
-                     format_double(smoke ? 0.0 : wall, 3),
+                     format_double(smoke ? 0.0 : wall * 1e3, 1),
                      format_double(smoke ? 1.0 : speedup, 2) + "x",
                      format_double(result.summary.simulated.millis(), 3),
                      identical ? "identical" : "DIFFERS"});

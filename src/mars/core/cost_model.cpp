@@ -52,52 +52,35 @@ AnalyticalCostModel::AnalyticalCostModel(const Problem& problem)
 
 Seconds AnalyticalCostModel::phase_compute_time(const LayerAssignment& set,
                                                 const graph::ConvShape& local) const {
-  // Allocation-free member sweep (this runs per strategy option inside the
-  // greedy second level): adaptive sets have one configured design; fixed
-  // sets take the slowest member, visited in ascending accelerator order —
-  // the same order member_designs() yields.
-  if (problem_->adaptive) {
-    return problem_->designs->design(set.design)
-        .conv_latency(local, problem_->spine->dtype());
-  }
-  Seconds worst(0.0);
-  for (topology::AccMask rest = set.accs; rest != 0; rest &= rest - 1) {
-    const auto acc = static_cast<topology::AccId>(std::countr_zero(rest));
-    const accel::AcceleratorDesign& design =
-        problem_->designs->design(problem_->topo->accelerator(acc).fixed_design);
-    worst = std::max(worst,
-                     design.conv_latency(local, problem_->spine->dtype()));
-  }
-  return worst;
+  return slowest(set, [&](accel::DesignId d) {
+    return problem_->designs->design(d).conv_latency(local, problem_->spine->dtype());
+  });
 }
 
 Seconds AnalyticalCostModel::fused_time(const LayerAssignment& set, int layer,
                                         int p) const {
   const Bytes traffic =
       problem_->spine->node(layer).fused_traffic / static_cast<double>(p);
-  if (problem_->adaptive) {
-    const accel::AcceleratorDesign& design =
-        problem_->designs->design(set.design);
+  return slowest(set, [&](accel::DesignId d) {
+    const accel::AcceleratorDesign& design = problem_->designs->design(d);
     return design.frequency().time_for(design.dram_cycles(traffic));
-  }
-  Seconds worst(0.0);
-  for (topology::AccMask rest = set.accs; rest != 0; rest &= rest - 1) {
-    const auto acc = static_cast<topology::AccId>(std::countr_zero(rest));
-    const accel::AcceleratorDesign& design =
-        problem_->designs->design(problem_->topo->accelerator(acc).fixed_design);
-    worst = std::max(worst,
-                     design.frequency().time_for(design.dram_cycles(traffic)));
-  }
-  return worst;
+  });
 }
 
 LayerCost AnalyticalCostModel::layer_cost(
     const LayerAssignment& set, int layer, const parallel::Strategy& strategy,
     const std::optional<parallel::ActivationSharding>& upstream) const {
+  return layer_cost(set, layer, strategy, upstream,
+                    problem_->topo->min_internal_bandwidth(set.accs));
+}
+
+LayerCost AnalyticalCostModel::layer_cost(
+    const LayerAssignment& set, int layer, const parallel::Strategy& strategy,
+    const std::optional<parallel::ActivationSharding>& upstream,
+    Bandwidth internal_bw) const {
   const graph::ConvSpine& spine = *problem_->spine;
   const int p = set.num_accs();
   const graph::ConvShape& shape = spine.node(layer).shape;
-  const Seconds hop_latency = problem_->sim_params.link_latency;
 
   LayerCost cost;
   cost.plan = parallel::make_plan(shape, spine.dtype(), strategy, p);
@@ -107,46 +90,57 @@ LayerCost AnalyticalCostModel::layer_cost(
   cost.compute =
       phase_compute_time(set, plan.local) * static_cast<double>(plan.phases) +
       fused_time(set, layer, p);
-
-  if (p > 1) {
-    const Bandwidth internal_bw =
-        problem_->topo->min_internal_bandwidth(set.accs);
-    // SS ring hops between phases (non-overlapped, per Fig. 2(c)).
-    if (plan.phases > 1) {
-      const Seconds hop =
-          internal_bw.transfer_time(plan.ring_hop_bytes) + hop_latency;
-      cost.intra_set += hop * static_cast<double>(plan.phases - 1);
-    }
-    // All-Reduce of partial sums.
-    if (plan.allreduce_group > 1) {
-      const Bytes wire = parallel::allreduce_wire_bytes(plan.allreduce_bytes,
-                                                        plan.allreduce_group);
-      cost.intra_set +=
-          internal_bw.transfer_time(wire) +
-          hop_latency *
-              static_cast<double>(parallel::allreduce_hops(plan.allreduce_group));
-    }
-    // Resharding from the previous layer's layout (or entry scatter for
-    // the first layer — the activation lands on one member first).
-    const Bytes in_bytes = shape.in_bytes(spine.dtype());
-    Bytes moved{};
-    if (upstream.has_value()) {
-      moved = parallel::reshard_cost(*upstream, shape, plan.required, in_bytes, p,
-                                     spine.dtype())
-                  .moved;
-    } else {
-      moved = in_bytes * plan.required.fraction() * static_cast<double>(p - 1);
-    }
-    if (moved.count() > 0.0) {
-      // Members redistribute concurrently over their own links.
-      cost.intra_set +=
-          internal_bw.transfer_time(moved / static_cast<double>(p)) + hop_latency;
-    }
-  }
+  cost.intra_set = intra_set_time(shape, p, internal_bw, PlanRecord(plan), upstream);
   return cost;
 }
 
+Seconds AnalyticalCostModel::intra_set_time(
+    const graph::ConvShape& shape, int p, Bandwidth internal_bw,
+    const PlanRecord& plan,
+    const std::optional<parallel::ActivationSharding>& upstream) const {
+  Seconds intra{};
+  if (p <= 1) return intra;
+  const graph::DataType dtype = problem_->spine->dtype();
+  const Seconds hop_latency = problem_->sim_params.link_latency;
+  // SS ring hops between phases (non-overlapped, per Fig. 2(c)).
+  if (plan.phases > 1) {
+    const Seconds hop =
+        internal_bw.transfer_time(plan.ring_hop_bytes) + hop_latency;
+    intra += hop * static_cast<double>(plan.phases - 1);
+  }
+  // All-Reduce of partial sums.
+  if (plan.allreduce_group > 1) {
+    const Bytes wire = parallel::allreduce_wire_bytes(plan.allreduce_bytes,
+                                                      plan.allreduce_group);
+    intra += internal_bw.transfer_time(wire) +
+             hop_latency *
+                 static_cast<double>(parallel::allreduce_hops(plan.allreduce_group));
+  }
+  // Resharding from the previous layer's layout (or entry scatter for
+  // the first layer — the activation lands on one member first).
+  const Bytes in_bytes = shape.in_bytes(dtype);
+  Bytes moved{};
+  if (upstream.has_value()) {
+    moved = parallel::reshard_cost(*upstream, shape, plan.required, in_bytes, p,
+                                   dtype)
+                .moved;
+  } else {
+    moved = in_bytes * plan.required.fraction() * static_cast<double>(p - 1);
+  }
+  if (moved.count() > 0.0) {
+    // Members redistribute concurrently over their own links.
+    intra += internal_bw.transfer_time(moved / static_cast<double>(p)) + hop_latency;
+  }
+  return intra;
+}
+
 SetCost AnalyticalCostModel::set_cost(const LayerAssignment& set) const {
+  MARS_CHECK_ARG(set.num_accs() >= 1, "assignment with empty set");
+  return set_cost(set, problem_->topo->min_internal_bandwidth(set.accs));
+}
+
+SetCost AnalyticalCostModel::set_cost(const LayerAssignment& set,
+                                      Bandwidth internal_bw) const {
   const graph::ConvSpine& spine = *problem_->spine;
   const topology::Topology& topo = *problem_->topo;
   const int p = set.num_accs();
@@ -162,7 +156,7 @@ SetCost AnalyticalCostModel::set_cost(const LayerAssignment& set) const {
   for (int layer = set.begin; layer < set.end; ++layer) {
     const parallel::Strategy& strategy =
         set.strategies[static_cast<std::size_t>(layer - set.begin)];
-    const LayerCost lc = layer_cost(set, layer, strategy, upstream);
+    const LayerCost lc = layer_cost(set, layer, strategy, upstream, internal_bw);
     cost.latency.compute += lc.compute;
     cost.latency.intra_set += lc.intra_set;
     upstream = lc.plan.produced;
@@ -171,13 +165,11 @@ SetCost AnalyticalCostModel::set_cost(const LayerAssignment& set) const {
 
   // DRAM validity across the whole range.
   cost.footprint = parallel::footprint(spine, set.begin, set.end, plans);
-  const Bytes dram = [&] {
-    Bytes smallest(std::numeric_limits<double>::infinity());
-    for (topology::AccId acc : topology::mask_members(set.accs)) {
-      smallest = std::min(smallest, topo.accelerator(acc).dram);
-    }
-    return smallest;
-  }();
+  Bytes dram(std::numeric_limits<double>::infinity());
+  for (topology::AccMask rest = set.accs; rest != 0; rest &= rest - 1) {
+    const auto acc = static_cast<topology::AccId>(std::countr_zero(rest));
+    dram = std::min(dram, topo.accelerator(acc).dram);
+  }
   cost.memory_ok = cost.footprint.fits(dram);
   cost.penalized = cost.latency.total();
   if (!cost.memory_ok) {

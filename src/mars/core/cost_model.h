@@ -6,6 +6,8 @@
 // between the two paths.
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <optional>
 #include <vector>
 
@@ -60,6 +62,29 @@ struct LayerCost {
   [[nodiscard]] Seconds total() const { return compute + intra_set; }
 };
 
+/// The ShardingPlan fields an option's price and the memory repair read:
+/// the intra-set traffic (ring, All-Reduce, reshard target), the layout
+/// left for the next layer and the weight residency. The second level's
+/// option table keeps one per option instead of the whole plan.
+struct PlanRecord {
+  explicit PlanRecord(const parallel::ShardingPlan& plan)
+      : phases(plan.phases),
+        allreduce_group(plan.allreduce_group),
+        ring_hop_bytes(plan.ring_hop_bytes),
+        allreduce_bytes(plan.allreduce_bytes),
+        weight_resident(plan.weight_resident),
+        required(plan.required),
+        produced(plan.produced) {}
+
+  int phases;
+  int allreduce_group;
+  Bytes ring_hop_bytes;
+  Bytes allreduce_bytes;
+  Bytes weight_resident;
+  parallel::ActivationSharding required;
+  parallel::ActivationSharding produced;
+};
+
 /// Energy prices per byte moved (first-order, docs/EXPLORE.md): a DRAM
 /// access and an inter-accelerator (or host) link transfer. Compute
 /// energy is per-design (AcceleratorDesign::energy_per_mac).
@@ -75,9 +100,21 @@ class AnalyticalCostModel {
       const LayerAssignment& set, int layer, const parallel::Strategy& strategy,
       const std::optional<parallel::ActivationSharding>& upstream) const;
 
+  /// Intra-set seconds of one layer of `shape` on a p-member set whose
+  /// bottleneck link is `internal_bw`: SS ring hops, the All-Reduce of
+  /// partial sums, and the reshard from `upstream` (the entry scatter
+  /// when nullopt). Zero for p == 1.
+  [[nodiscard]] Seconds intra_set_time(
+      const graph::ConvShape& shape, int p, Bandwidth internal_bw,
+      const PlanRecord& plan,
+      const std::optional<parallel::ActivationSharding>& upstream) const;
+
   /// Internal cost of one set: compute + fused DRAM + rings + All-Reduce +
   /// intra-set resharding + entry scatter, plus the memory check.
   [[nodiscard]] SetCost set_cost(const LayerAssignment& set) const;
+  /// set_cost with the set's min_internal_bandwidth already known.
+  [[nodiscard]] SetCost set_cost(const LayerAssignment& set,
+                                 Bandwidth internal_bw) const;
 
   /// End-to-end breakdown of a full mapping (adds inter-set transfers and
   /// host I/O). `memory_ok` in the summary aggregates all sets.
@@ -97,6 +134,25 @@ class AnalyticalCostModel {
   /// kLinkPicojoulesPerByte. Zero traffic contributes zero; a mapping
   /// with work always reports positive energy.
   [[nodiscard]] Joules mapping_energy(const Mapping& mapping) const;
+
+  /// `per_design(d)` (Seconds) of the design the set runs at: the
+  /// configured design on an adaptive system; on a fixed one the slowest
+  /// member's fixed design, members visited in ascending accelerator
+  /// order and the max started from zero. phase_compute_time, fused_time
+  /// and the second level's option table all price a set through it, so
+  /// their doubles agree bit for bit.
+  template <typename PerDesign>
+  [[nodiscard]] Seconds slowest(const LayerAssignment& set,
+                                PerDesign&& per_design) const {
+    if (problem_->adaptive) return per_design(set.design);
+    Seconds worst(0.0);
+    for (topology::AccMask rest = set.accs; rest != 0; rest &= rest - 1) {
+      const auto acc = static_cast<topology::AccId>(std::countr_zero(rest));
+      worst = std::max(worst,
+                       per_design(problem_->topo->accelerator(acc).fixed_design));
+    }
+    return worst;
+  }
 
   /// Per-phase compute seconds of `local` on the set (slowest member in
   /// fixed mode).
@@ -141,6 +197,12 @@ class AnalyticalCostModel {
   [[nodiscard]] const Problem& problem() const { return *problem_; }
 
  private:
+  /// layer_cost with the set's min_internal_bandwidth already known.
+  [[nodiscard]] LayerCost layer_cost(
+      const LayerAssignment& set, int layer, const parallel::Strategy& strategy,
+      const std::optional<parallel::ActivationSharding>& upstream,
+      Bandwidth internal_bw) const;
+
   const Problem* problem_;
   // Contiguous (struct-of-arrays) copies of the spine edges, split into
   // layer-to-layer edges and network-input edges. The per-candidate inner

@@ -23,8 +23,64 @@ std::vector<parallel::Dim> dims_by_priority(const double* genes) {
 }  // namespace
 
 SecondLevelSearch::SecondLevelSearch(const Problem& problem,
-                                     SecondLevelConfig config)
-    : problem_(&problem), config_(config), model_(problem) {}
+                                     SecondLevelConfig config,
+                                     obs::MetricsRegistry* metrics)
+    : problem_(&problem),
+      config_(config),
+      model_(problem),
+      tables_(std::make_unique<SizeTable[]>(
+          static_cast<std::size_t>(problem.topo->size()) + 1)) {
+  if (metrics != nullptr) {
+    options_priced_ = &metrics->counter("search.second.options_priced");
+    plans_built_ = &metrics->counter("search.second.plans_built");
+  }
+  const graph::ConvSpine& spine = *problem.spine;
+  shape_index_.reserve(static_cast<std::size_t>(spine.size()));
+  for (int layer = 0; layer < spine.size(); ++layer) {
+    const graph::ConvShape& shape = spine.node(layer).shape;
+    const auto it =
+        std::find(distinct_shapes_.begin(), distinct_shapes_.end(), shape);
+    shape_index_.push_back(static_cast<int>(it - distinct_shapes_.begin()));
+    if (it == distinct_shapes_.end()) distinct_shapes_.push_back(shape);
+  }
+}
+
+const SecondLevelSearch::SizeTable& SecondLevelSearch::table_for(int p) const {
+  MARS_CHECK_ARG(p >= 1 && p <= problem_->topo->size(),
+                 "set size " << p << " outside the topology");
+  SizeTable& table = tables_[static_cast<std::size_t>(p)];
+  std::call_once(table.built, [&] {
+    const graph::DataType dtype = problem_->spine->dtype();
+    const accel::DesignRegistry& designs = *problem_->designs;
+    long long plans = 0;
+    table.shapes.resize(distinct_shapes_.size());
+    for (std::size_t s = 0; s < distinct_shapes_.size(); ++s) {
+      const graph::ConvShape& shape = distinct_shapes_[s];
+      ShapeOptions& entry = table.shapes[s];
+      entry.options =
+          parallel::enumerate_strategies(shape, p, config_.max_es_dims);
+      if (!config_.enable_ss) {
+        std::erase_if(entry.options,
+                      [](const parallel::Strategy& option) { return option.has_ss(); });
+      }
+      entry.plans.reserve(entry.options.size());
+      entry.phase_latency.reserve(entry.options.size() *
+                                  static_cast<std::size_t>(designs.size()));
+      for (const parallel::Strategy& option : entry.options) {
+        const parallel::ShardingPlan plan =
+            parallel::make_plan(shape, dtype, option, p);
+        entry.plans.emplace_back(plan);
+        for (accel::DesignId d = 0; d < designs.size(); ++d) {
+          entry.phase_latency.push_back(
+              designs.design(d).conv_latency(plan.local, dtype));
+        }
+      }
+      plans += static_cast<long long>(entry.options.size());
+    }
+    if (plans_built_ != nullptr) plans_built_->add(plans);
+  });
+  return table;
+}
 
 parallel::Strategy SecondLevelSearch::decode_layer(const graph::ConvShape& shape,
                                                    int p,
@@ -107,42 +163,62 @@ std::vector<parallel::Strategy> SecondLevelSearch::decode_all(
 
 SecondLevelResult SecondLevelSearch::greedy(const LayerAssignment& skeleton) const {
   const int p = skeleton.num_accs();
-  SecondLevelResult result;
-  std::optional<parallel::ActivationSharding> upstream;
+  const int num_layers = skeleton.num_layers();
+  const Bandwidth internal_bw =
+      problem_->topo->min_internal_bandwidth(skeleton.accs);
+  const SizeTable& table = table_for(p);
+  const auto num_designs = static_cast<std::size_t>(problem_->designs->size());
+  const auto entry_of = [&](int layer) -> const ShapeOptions& {
+    return table.shapes[static_cast<std::size_t>(
+        shape_index_[static_cast<std::size_t>(layer)])];
+  };
+  // layer_cost(...).total() of option i, read from the table.
+  const auto price = [&](const ShapeOptions& entry, std::size_t i,
+                         const graph::ConvShape& shape, Seconds fused,
+                         const std::optional<parallel::ActivationSharding>& upstream) {
+    const Seconds* latency = entry.phase_latency.data() + i * num_designs;
+    // phase_compute_time's value, with conv_latency read from the table.
+    const Seconds phase = model_.slowest(skeleton, [&](accel::DesignId d) {
+      return latency[static_cast<std::size_t>(d)];
+    });
+    const PlanRecord& plan = entry.plans[i];
+    const Seconds compute = phase * static_cast<double>(plan.phases) + fused;
+    return compute + model_.intra_set_time(shape, p, internal_bw, plan, upstream);
+  };
 
-  LayerAssignment probe = skeleton;  // carries accs/design for layer_cost
+  SecondLevelResult result;
+  result.strategies.reserve(static_cast<std::size_t>(num_layers));
+  std::vector<Bytes> resident;  // weight residency of each greedy pick
+  resident.reserve(static_cast<std::size_t>(num_layers));
+  long long priced = 0;
+  std::optional<parallel::ActivationSharding> upstream;
   for (int layer = skeleton.begin; layer < skeleton.end; ++layer) {
     const graph::ConvShape& shape = problem_->spine->node(layer).shape;
-    std::vector<parallel::Strategy> options =
-        parallel::enumerate_strategies(shape, p, config_.max_es_dims);
-    if (!config_.enable_ss) {
-      options.erase(std::remove_if(options.begin(), options.end(),
-                                   [](const parallel::Strategy& s) {
-                                     return s.has_ss();
-                                   }),
-                    options.end());
-    }
-    MARS_CHECK(!options.empty(), "no valid strategy for layer "
-                                     << problem_->spine->node(layer).name
-                                     << " on " << p << " accelerators");
-    const parallel::Strategy* best = nullptr;
+    const ShapeOptions& entry = entry_of(layer);
+    MARS_CHECK(!entry.options.empty(), "no valid strategy for layer "
+                                           << problem_->spine->node(layer).name
+                                           << " on " << p << " accelerators");
+    // fused_time also validates the set's design id before the lookups.
+    const Seconds fused = model_.fused_time(skeleton, layer, p);
+    std::size_t best = 0;
     Seconds best_time(0.0);
-    LayerCost best_cost;
-    for (const parallel::Strategy& option : options) {
-      const LayerCost cost = model_.layer_cost(probe, layer, option, upstream);
-      if (best == nullptr || cost.total() < best_time) {
-        best = &option;
-        best_time = cost.total();
-        best_cost = cost;
+    for (std::size_t i = 0; i < entry.options.size(); ++i) {
+      const Seconds time = price(entry, i, shape, fused, upstream);
+      if (i == 0 || time < best_time) {
+        best = i;
+        best_time = time;
       }
     }
-    result.strategies.push_back(*best);
-    upstream = best_cost.plan.produced;
+    priced += static_cast<long long>(entry.options.size());
+    result.strategies.push_back(entry.options[best]);
+    resident.push_back(entry.plans[best].weight_resident);
+    upstream = entry.plans[best].produced;
   }
 
   LayerAssignment full = skeleton;
   full.strategies = result.strategies;
-  result.cost = model_.set_cost(full);
+  result.cost = model_.set_cost(full, internal_bw);
+  long long plans = num_layers;  // set_cost builds one plan per layer
 
   // Memory repair: the latency-greedy pass ignores DRAM residency. When
   // the set does not fit, re-pick strategies for the heaviest layers,
@@ -150,57 +226,41 @@ SecondLevelResult SecondLevelSearch::greedy(const LayerAssignment& skeleton) con
   // is where shared shards earn their keep (Section IV: SS relieves the
   // memory burden by keeping only a rotating 1/p shard resident).
   if (!result.cost.memory_ok && p > 1) {
-    std::vector<int> order(static_cast<std::size_t>(skeleton.num_layers()));
+    std::vector<int> order(static_cast<std::size_t>(num_layers));
     std::iota(order.begin(), order.end(), 0);
-    std::vector<parallel::ShardingPlan> plans;
-    plans.reserve(order.size());
-    for (int i = 0; i < skeleton.num_layers(); ++i) {
-      plans.push_back(parallel::make_plan(
-          problem_->spine->node(skeleton.begin + i).shape,
-          problem_->spine->dtype(),
-          result.strategies[static_cast<std::size_t>(i)], p));
-    }
     std::sort(order.begin(), order.end(), [&](int a, int b) {
-      return plans[static_cast<std::size_t>(a)].weight_resident >
-             plans[static_cast<std::size_t>(b)].weight_resident;
+      return resident[static_cast<std::size_t>(a)] >
+             resident[static_cast<std::size_t>(b)];
     });
+    const std::optional<parallel::ActivationSharding> entry_scatter;
     for (int index : order) {
       const int layer = skeleton.begin + index;
       const graph::ConvShape& shape = problem_->spine->node(layer).shape;
-      std::vector<parallel::Strategy> options =
-          parallel::enumerate_strategies(shape, p, config_.max_es_dims);
-      if (!config_.enable_ss) {
-        options.erase(std::remove_if(options.begin(), options.end(),
-                                     [](const parallel::Strategy& s) {
-                                       return s.has_ss();
-                                     }),
-                      options.end());
-      }
-      const parallel::Strategy* lightest = nullptr;
+      const ShapeOptions& entry = entry_of(layer);
+      const Seconds fused = model_.fused_time(skeleton, layer, p);
+      std::size_t lightest = 0;
       Bytes lightest_bytes{};
       Seconds lightest_time{};
-      for (const parallel::Strategy& option : options) {
-        const parallel::ShardingPlan plan =
-            parallel::make_plan(shape, problem_->spine->dtype(), option, p);
-        const Seconds time =
-            model_.layer_cost(skeleton, layer, option, std::nullopt).total();
-        if (lightest == nullptr || plan.weight_resident < lightest_bytes ||
-            (plan.weight_resident == lightest_bytes && time < lightest_time)) {
-          lightest = &option;
-          lightest_bytes = plan.weight_resident;
+      for (std::size_t i = 0; i < entry.options.size(); ++i) {
+        const Bytes bytes = entry.plans[i].weight_resident;
+        const Seconds time = price(entry, i, shape, fused, entry_scatter);
+        if (i == 0 || bytes < lightest_bytes ||
+            (bytes == lightest_bytes && time < lightest_time)) {
+          lightest = i;
+          lightest_bytes = bytes;
           lightest_time = time;
         }
       }
-      result.strategies[static_cast<std::size_t>(index)] = *lightest;
+      priced += static_cast<long long>(entry.options.size());
+      result.strategies[static_cast<std::size_t>(index)] = entry.options[lightest];
       full.strategies = result.strategies;
-      const SetCost repaired = model_.set_cost(full);
-      if (repaired.memory_ok) {
-        result.cost = repaired;
-        break;
-      }
-      result.cost = repaired;
+      result.cost = model_.set_cost(full, internal_bw);
+      plans += num_layers;
+      if (result.cost.memory_ok) break;
     }
   }
+  if (options_priced_ != nullptr) options_priced_->add(priced);
+  if (plans_built_ != nullptr) plans_built_->add(plans);
   return result;
 }
 

@@ -9,10 +9,22 @@
 //  * refine()  — the paper's genetic algorithm over per-layer priority
 //    genes, seeded with the greedy solution; used to polish the winning
 //    skeleton and for the Fig. 3 convergence bench.
+//
+// greedy() prices options from a lazily built option table keyed by
+// (distinct layer shape, set size p): the enumerated strategies, a
+// PlanRecord per strategy and the per-phase latency of every design, all
+// of which depend on the shape and p alone. Each p is built once, on
+// first use, behind a std::call_once, so concurrent greedy() calls on a
+// WorkerPool are safe. Prices are bit-identical to pricing every option
+// through AnalyticalCostModel::layer_cost.
 #pragma once
+
+#include <memory>
+#include <mutex>
 
 #include "mars/core/cost_model.h"
 #include "mars/ga/engine.h"
+#include "mars/obs/metrics.h"
 
 namespace mars::core {
 
@@ -40,7 +52,9 @@ class SecondLevelSearch {
   ///                   6 ES priorities, 6 SS priorities].
   static constexpr int kGenesPerLayer = 14;
 
-  SecondLevelSearch(const Problem& problem, SecondLevelConfig config);
+  /// With `metrics`, greedy() counts into its `search.second.*` counters.
+  SecondLevelSearch(const Problem& problem, SecondLevelConfig config,
+                    obs::MetricsRegistry* metrics = nullptr);
 
   /// Deterministic decode of one layer's strategy from its gene block.
   [[nodiscard]] parallel::Strategy decode_layer(const graph::ConvShape& shape,
@@ -60,12 +74,36 @@ class SecondLevelSearch {
   [[nodiscard]] const AnalyticalCostModel& model() const { return model_; }
 
  private:
+  /// Every greedy option of one distinct layer shape at one set size.
+  struct ShapeOptions {
+    std::vector<parallel::Strategy> options;  // enumerated, SS-filtered
+    std::vector<PlanRecord> plans;            // plans[i] of options[i]
+    /// conv_latency(plan.local) of options[i] on design d, at
+    /// [i * num_designs + d].
+    std::vector<Seconds> phase_latency;
+  };
+  /// The option table of one set size, indexed by distinct shape.
+  struct SizeTable {
+    std::once_flag built;
+    std::vector<ShapeOptions> shapes;
+  };
+
   [[nodiscard]] std::vector<parallel::Strategy> decode_all(
       const LayerAssignment& skeleton, const ga::Genome& genome) const;
+
+  /// The table for set size p, built on first use.
+  [[nodiscard]] const SizeTable& table_for(int p) const;
 
   const Problem* problem_;
   SecondLevelConfig config_;
   AnalyticalCostModel model_;
+  obs::Counter* options_priced_ = nullptr;
+  obs::Counter* plans_built_ = nullptr;
+  /// Spine layer -> index into distinct_shapes_.
+  std::vector<int> shape_index_;
+  std::vector<graph::ConvShape> distinct_shapes_;
+  /// One table per set size 1..topology size (index 0 unused).
+  std::unique_ptr<SizeTable[]> tables_;
 };
 
 }  // namespace mars::core

@@ -38,7 +38,7 @@ SkeletonSpace::SkeletonSpace(const Problem& problem, const Config& config)
                                                     problem.placement_mask())
                       : trivial_candidates(*problem.topo, problem.placement_mask())),
       codec_(problem, candidates_),
-      second_(problem, config.second),
+      second_(problem, config.second, &metrics_),
       evaluator_(problem),
       memo_hits_(&metrics_.counter("search.space.memo.hits")),
       memo_misses_(&metrics_.counter("search.space.memo.misses")),

@@ -202,18 +202,21 @@ class SkeletonSpace {
 
   const Problem* problem_;
   Config config_;
+  /// Instance metric registry backing the counters below and second_'s
+  /// `search.second.*` counters (one per SkeletonSpace so per-search
+  /// counts stay exact); the destructor folds it into the installed
+  /// global registry. Declared before second_, which resolves its
+  /// counters at construction.
+  obs::MetricsRegistry metrics_;
   accel::ProfileMatrix profile_;
   std::vector<topology::AccSetCandidate> candidates_;
   FirstLevelCodec codec_;
   SecondLevelSearch second_;
   MappingEvaluator evaluator_;
   Cache cache_;
-  /// Instance metric registry backing the counters below (one per
-  /// SkeletonSpace so per-search counts stay exact); the destructor folds
-  /// it into the installed global registry. The Counter pointers are
-  /// resolved once in the constructor — registry references are stable —
-  /// so hot-path increments are a single relaxed atomic add.
-  obs::MetricsRegistry metrics_;
+  /// Counters in metrics_, resolved once in the constructor — registry
+  /// references are stable — so hot-path increments are a single relaxed
+  /// atomic add.
   obs::Counter* memo_hits_;
   obs::Counter* memo_misses_;
   obs::Counter* record_hits_;

@@ -109,6 +109,16 @@ ConvSpine ConvSpine::extract(const Graph& graph) {
     }
   }
 
+  // Live-across bytes per node, summed in edge order once here: the
+  // second level's memory check reads one per layer of every priced set.
+  spine.spanning_.assign(spine.nodes_.size(), Bytes{});
+  for (int index = 0; index < spine.size(); ++index) {
+    Bytes& live = spine.spanning_[static_cast<std::size_t>(index)];
+    for (const SpineEdge& edge : spine.edges_) {
+      if (edge.producer < index && edge.consumer > index) live += edge.bytes;
+    }
+  }
+
   // Network output bytes: everything the graph sinks produce.
   Bytes out{};
   for (LayerId sink : graph.outputs()) {
@@ -136,11 +146,7 @@ Bytes ConvSpine::cut_bytes(int cut) const {
 
 Bytes ConvSpine::spanning_bytes(int index) const {
   MARS_CHECK_ARG(index >= 0 && index < size(), "index out of range");
-  Bytes total{};
-  for (const SpineEdge& edge : edges_) {
-    if (edge.producer < index && edge.consumer > index) total += edge.bytes;
-  }
-  return total;
+  return spanning_[static_cast<std::size_t>(index)];
 }
 
 Bytes ConvSpine::input_bytes() const {

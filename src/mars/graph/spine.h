@@ -123,6 +123,7 @@ class ConvSpine {
   DataType dtype_ = DataType::kFix16;
   std::vector<SpineNode> nodes_;
   std::vector<SpineEdge> edges_;
+  std::vector<Bytes> spanning_;  // spanning_bytes() per node
   Bytes output_bytes_{};
 };
 

@@ -1,6 +1,7 @@
 #include "mars/topology/topology.h"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <sstream>
 
@@ -8,12 +9,17 @@
 
 namespace mars::topology {
 
+namespace {
+
+// Lowest accelerator id in a non-empty mask.
+AccId lowest(AccMask mask) { return std::countr_zero(mask); }
+
+}  // namespace
+
 std::vector<AccId> mask_members(AccMask mask) {
   std::vector<AccId> members;
   members.reserve(static_cast<std::size_t>(mask_count(mask)));
-  for (AccId id = 0; id < 64; ++id) {
-    if (mask_contains(mask, id)) members.push_back(id);
-  }
+  for (; mask != 0; mask &= mask - 1) members.push_back(lowest(mask));
   return members;
 }
 
@@ -99,20 +105,28 @@ AccMask Topology::full_mask() const {
   return size() == 64 ? ~AccMask{0} : (AccMask{1} << static_cast<unsigned>(size())) - 1;
 }
 
-bool Topology::connected(AccMask mask) const {
-  const std::vector<AccId> members = mask_members(mask);
-  if (members.empty()) return false;
-  if (members.size() == 1) return true;
+// The mask queries below walk mask bits and read bw_ rows unchecked, so
+// each first rejects an out-of-range member through check_id(): the id
+// named is the first one an ascending per-pair has_link()/link() sweep
+// would meet, which keeps the error message of the checked accessors.
 
-  AccMask visited = mask_of(members.front());
-  std::vector<AccId> frontier{members.front()};
-  while (!frontier.empty()) {
-    const AccId current = frontier.back();
-    frontier.pop_back();
-    for (AccId other : members) {
-      if (!mask_contains(visited, other) && has_link(current, other)) {
+bool Topology::connected(AccMask mask) const {
+  if (mask == 0) return false;
+  if (mask_count(mask) == 1) return true;
+  if (const AccMask outside = mask & ~full_mask(); outside != 0) {
+    check_id(lowest(outside));
+  }
+
+  AccMask visited = mask_of(lowest(mask));
+  AccMask frontier = visited;
+  while (frontier != 0) {
+    const std::vector<double>& row = bw_[static_cast<std::size_t>(lowest(frontier))];
+    frontier &= frontier - 1;
+    for (AccMask rest = mask & ~visited; rest != 0; rest &= rest - 1) {
+      const AccId other = lowest(rest);
+      if (row[static_cast<std::size_t>(other)] > 0.0) {
         visited |= mask_of(other);
-        frontier.push_back(other);
+        frontier |= mask_of(other);
       }
     }
   }
@@ -120,28 +134,27 @@ bool Topology::connected(AccMask mask) const {
 }
 
 Bandwidth Topology::min_internal_bandwidth(AccMask mask) const {
-  const std::vector<AccId> members = mask_members(mask);
-  MARS_CHECK_ARG(!members.empty(), "empty accelerator set");
-  if (members.size() == 1) return Bandwidth(std::numeric_limits<double>::infinity());
+  MARS_CHECK_ARG(mask != 0, "empty accelerator set");
+  if (mask_count(mask) == 1) return Bandwidth(std::numeric_limits<double>::infinity());
   MARS_CHECK_ARG(connected(mask),
                  "set " << mask_to_string(mask) << " is not connected");
 
   // Maximum-bottleneck spanning structure (Prim on min edge): the internal
   // collective bandwidth is limited by the weakest edge the set must use,
-  // chosen as favourably as possible.
-  AccMask in_tree = mask_of(members.front());
+  // chosen as favourably as possible. Ties keep the first (a, b) pair in
+  // ascending id order.
+  AccMask in_tree = mask_of(lowest(mask));
   double bottleneck = std::numeric_limits<double>::infinity();
   while (in_tree != mask) {
     double best = 0.0;
     AccId best_next = -1;
-    for (AccId a : members) {
-      if (!mask_contains(in_tree, a)) continue;
-      for (AccId b : members) {
-        if (mask_contains(in_tree, b) || !has_link(a, b)) continue;
-        const double bw = link(a, b).bits_per_second();
+    for (AccMask from = in_tree; from != 0; from &= from - 1) {
+      const std::vector<double>& row = bw_[static_cast<std::size_t>(lowest(from))];
+      for (AccMask to = mask & ~in_tree; to != 0; to &= to - 1) {
+        const double bw = row[static_cast<std::size_t>(lowest(to))];
         if (bw > best) {
           best = bw;
-          best_next = b;
+          best_next = lowest(to);
         }
       }
     }
@@ -154,21 +167,34 @@ Bandwidth Topology::min_internal_bandwidth(AccMask mask) const {
 
 Bandwidth Topology::best_link_between(AccMask a, AccMask b) const {
   MARS_CHECK_ARG((a & b) == 0, "sets overlap");
+  if (a == 0 || b == 0) return Bandwidth(0.0);
+  const AccMask outside = ~full_mask();
+  if (((a | b) & outside) != 0) {
+    // An ascending (i, j) sweep meets lowest(a) first, then b's lowest
+    // outside id, then a's.
+    check_id(lowest(a));
+    if ((b & outside) != 0) check_id(lowest(b & outside));
+    check_id(lowest(a & outside));
+  }
   double best = 0.0;
-  for (AccId i : mask_members(a)) {
-    for (AccId j : mask_members(b)) {
-      best = std::max(best, link(i, j).bits_per_second());
+  for (AccMask from = a; from != 0; from &= from - 1) {
+    const std::vector<double>& row = bw_[static_cast<std::size_t>(lowest(from))];
+    for (AccMask to = b; to != 0; to &= to - 1) {
+      best = std::max(best, row[static_cast<std::size_t>(lowest(to))]);
     }
   }
   return Bandwidth(best);
 }
 
 Bandwidth Topology::min_host_bandwidth(AccMask mask) const {
-  const std::vector<AccId> members = mask_members(mask);
-  MARS_CHECK_ARG(!members.empty(), "empty accelerator set");
+  MARS_CHECK_ARG(mask != 0, "empty accelerator set");
+  if (const AccMask outside = mask & ~full_mask(); outside != 0) {
+    check_id(lowest(outside));
+  }
   double min_bw = std::numeric_limits<double>::infinity();
-  for (AccId id : members) {
-    min_bw = std::min(min_bw, host_bandwidth(id).bits_per_second());
+  for (AccMask rest = mask; rest != 0; rest &= rest - 1) {
+    min_bw = std::min(
+        min_bw, accs_[static_cast<std::size_t>(lowest(rest))].host_bw.bits_per_second());
   }
   return Bandwidth(min_bw);
 }
