@@ -30,8 +30,8 @@ MarsResult Mars::search(const ga::StopFn& stop) {
   Rng rng(config_.seed);
   const std::vector<double> scores = space_.design_scores();
   const FirstLevelCodec& codec = space_.codec();
-  // Shared fitness pool for either GA level arrangement. threads == 1
-  // stays on the serial single-genome path (no pool, no batching).
+  // Shared fitness pool for either GA level arrangement; threads == 1
+  // builds none, and the batch paths then run single-threaded.
   std::unique_ptr<util::WorkerPool> pool;
   if (config_.threads > 1) {
     pool = std::make_unique<util::WorkerPool>(config_.threads);
@@ -53,24 +53,13 @@ MarsResult Mars::search(const ga::StopFn& stop) {
     auto fitness = [&](const ga::Genome& genome) {
       return space_.fitness(codec.decode(genome));
     };
-    // Cohorts always go through the batch/delta pair (pool may be null —
-    // the batch paths run the identical code single-threaded): initial
-    // populations seed SkeletonSpace's per-genome records, offspring
-    // arrive as moves priced incrementally against those records. Both
-    // paths return exactly the serial values, so the search itself is
-    // byte-identical at any thread count.
+    // Cohorts always go through fitness_batch, with a null pool at
+    // threads == 1. It returns exactly the serial values, so the search
+    // itself is byte-identical at any thread count.
     ga::BatchFitnessFn batch = [&](const std::vector<ga::Genome>& genomes) {
       return space_.fitness_batch(genomes, pool.get());
     };
-    ga::DeltaBatchFitnessFn delta =
-        [&](const std::vector<ga::Genome>& parents,
-            const std::vector<ga::Genome>& children,
-            const std::vector<ga::GenomeDelta>& deltas) {
-          return space_.fitness_delta_batch(parents, children, deltas,
-                                            pool.get());
-        };
-    result.first_level =
-        engine.minimize(fitness, rng, seeds, stop, batch, delta);
+    result.first_level = engine.minimize(fitness, rng, seeds, stop, batch);
 
     Skeleton winner = codec.decode(result.first_level.best);
     result.mapping = space_.complete(winner);

@@ -21,8 +21,6 @@
 // are byte-identical to serial evaluation.
 #pragma once
 
-#include <bit>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -40,11 +38,6 @@ class MemoBatch;
 }
 
 namespace mars::core {
-
-/// The move description fitness_delta_batch consumes — defined next to
-/// the GA engine that emits it (see ga::GenomeDelta for the superset
-/// contract on `changed`).
-using GenomeDelta = ga::GenomeDelta;
 
 class SkeletonSpace {
  public:
@@ -86,28 +79,10 @@ class SkeletonSpace {
   [[nodiscard]] std::vector<double> fitness_batch(
       const std::vector<ga::Genome>& genomes, util::WorkerPool* pool = nullptr);
 
-  /// The parallel decode underlying the genome overload; fills `traces`
-  /// (one per genome) when given.
+  /// The parallel decode underlying the genome overload.
   [[nodiscard]] std::vector<Skeleton> decode_batch(
-      const std::vector<ga::Genome>& genomes, util::WorkerPool* pool = nullptr,
-      std::vector<FirstLevelCodec::DecodeTrace>* traces = nullptr) const;
-
-  /// fitness_batch(children, pool), but told how each child differs from a
-  /// parent genome in `parents`. A child whose parent this object priced
-  /// recently (the genome fitness paths keep a bounded record per genome)
-  /// is re-decoded incrementally via FirstLevelCodec::redecode; when the
-  /// skeleton comes out identical to the parent's the evaluation
-  /// short-circuits to the parent's fitness, and otherwise sets the move
-  /// did not touch reuse the parent's per-set latencies without a cache
-  /// lookup. Children without a usable record fall back to the full path.
-  /// The contract is exactness, not approximation: the returned fitness
-  /// values AND the hit/miss counter increments are bit-identical to
-  /// fitness_batch(children, pool), at any thread count.
-  [[nodiscard]] std::vector<double> fitness_delta_batch(
-      const std::vector<ga::Genome>& parents,
-      const std::vector<ga::Genome>& children,
-      const std::vector<GenomeDelta>& deltas,
-      util::WorkerPool* pool = nullptr);
+      const std::vector<ga::Genome>& genomes,
+      util::WorkerPool* pool = nullptr) const;
 
   /// `skeleton` with its memoised second-level strategies filled in.
   [[nodiscard]] Mapping complete(const Skeleton& skeleton);
@@ -120,14 +95,14 @@ class SkeletonSpace {
   [[nodiscard]] Skeleton baseline() const;
 
   /// Second-level memo hit/miss counts (the `search.space.memo.*`
-  /// counters). The exactness contracts above are stated in terms of these
-  /// two values.
+  /// counters). The batch contract above is stated in terms of these two
+  /// values.
   [[nodiscard]] long long cache_hits() const { return memo_hits_->value(); }
   [[nodiscard]] long long cache_misses() const {
     return memo_misses_->value();
   }
 
-  /// All instance counters (memo, record table, delta path) by name; see
+  /// All instance counters (the memo's and second()'s) by name; see
   /// docs/OBSERVABILITY.md for the `search.space.*` naming scheme.
   [[nodiscard]] const obs::MetricsRegistry& metrics() const {
     return metrics_;
@@ -160,45 +135,10 @@ class SkeletonSpace {
   /// One batch of second-level lookups; a missed key is priced from its set.
   using PriceBatch = util::MemoBatch<Cache, const LayerAssignment*>;
 
-  /// One priced genome, kept so the next generation's mutants can reuse
-  /// its decode trace and per-set latencies. Invariant: every set of
-  /// `skeleton` has been published to cache_ (which never evicts), so a
-  /// set matching a recorded parent set is always a cache hit — the delta
-  /// path may charge it as one without a map lookup.
-  struct EvalPayload {
-    FirstLevelCodec::DecodeTrace trace;
-    Skeleton skeleton;
-    std::vector<Seconds> latencies;  // penalized, one per set
-    double fitness = 0.0;
-  };
-  /// Records share payloads immutably: a child whose move left the decode
-  /// trace untouched aliases its parent's payload instead of copying it,
-  /// and a payload outlives any records_ eviction while a batch still
-  /// holds it.
-  using EvalRecord = std::shared_ptr<const EvalPayload>;
-
   [[nodiscard]] const SecondLevelResult& second_level_for(
       const LayerAssignment& skeleton);
 
   [[nodiscard]] static CacheKey key_of(const LayerAssignment& set);
-
-  /// Probes set `s` of one skeleton: a cached latency lands in
-  /// latencies[s] now, otherwise `s` joins `pending` for the read-back
-  /// after price().
-  void probe(PriceBatch& batch, const LayerAssignment& set, std::size_t s,
-             std::vector<Seconds>& latencies,
-             std::vector<std::size_t>& pending) const;
-  /// Charges the batch's hit/miss counts, then greedy-prices and
-  /// publishes its misses.
-  void price(PriceBatch& batch, util::WorkerPool* pool);
-
-  /// The per-skeleton penalized latencies of a whole batch, every set
-  /// priced through one PriceBatch.
-  [[nodiscard]] std::vector<std::vector<Seconds>> price_batch(
-      const std::vector<Skeleton>& skeletons, util::WorkerPool* pool);
-
-  [[nodiscard]] EvalRecord recall(const ga::Genome& genome) const;
-  void remember(const ga::Genome& genome, EvalRecord record);
 
   const Problem* problem_;
   Config config_;
@@ -219,40 +159,6 @@ class SkeletonSpace {
   /// atomic add.
   obs::Counter* memo_hits_;
   obs::Counter* memo_misses_;
-  obs::Counter* record_hits_;
-  obs::Counter* record_misses_;
-  obs::Counter* record_evictions_;
-  obs::Counter* delta_unchanged_;
-  obs::Counter* delta_bails_;
-  /// FNV-1a word steps over the genes' bit patterns. Hashing bit patterns is
-  /// sound here: equality stays the exact operator== on the doubles, and a
-  /// key the hash cannot find again (e.g. a NaN gene) merely forces the
-  /// exact full-path fallback.
-  struct GenomeHash {
-    std::size_t operator()(const ga::Genome& genome) const {
-      std::uint64_t h = util::fnv1a::kShortBasis;
-      for (const double gene : genome) {
-        h = util::fnv1a::word(h, std::bit_cast<std::uint64_t>(gene));
-      }
-      return h;
-    }
-  };
-
-  /// One slot of the direct-mapped record table; empty while record is
-  /// null.
-  struct RecordSlot {
-    ga::Genome genome;
-    EvalRecord record;
-  };
-
-  /// Genome-keyed records backing fitness_delta_batch, held in a
-  /// direct-mapped table (power-of-two slots, overwrite on collision) so
-  /// recall/remember sit on the per-child hot path at the cost of one
-  /// hash and one compare. Collisions evict silently, which can only
-  /// force the exact full-path fallback, never change a result or a
-  /// counter. Allocated lazily on the first remember().
-  static constexpr std::size_t kRecordSlots = 4096;
-  std::vector<RecordSlot> records_;
 };
 
 }  // namespace mars::core

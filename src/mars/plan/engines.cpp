@@ -219,12 +219,8 @@ PlanResult AnnealingEngine::search(const core::Problem& problem,
   long long evaluations = 0;
   if (config_.seed_baseline) {
     // All chains start from the baseline skeleton: one evaluation, shared.
-    // Priced through the genome overload so the start point leaves a
-    // record behind for the first step's delta evaluation.
     const ga::Genome start = codec.encode(space.baseline(), scores);
-    const double fitness =
-        space.fitness_batch(std::vector<ga::Genome>{start}, pool.get())
-            .front();
+    const double fitness = space.fitness(codec.decode(start));
     evaluations = 1;
     for (int c = 0; c < chains; ++c) {
       current[static_cast<std::size_t>(c)] = start;
@@ -272,31 +268,22 @@ PlanResult AnnealingEngine::search(const core::Problem& problem,
           std::min<long long>(static_cast<long long>(active),
                               budget.max_evaluations - evaluations));
     }
-    // Each proposal is its chain's current genome plus moves_per_step gene
-    // edits, and is priced as that move: the listed genes are a superset
-    // of the actual diff (a clamped edit may land on the old value), which
-    // is exactly the GenomeDelta contract. fitness_delta_batch returns the
-    // full-evaluation values bit-for-bit, so the chains are unchanged.
+    // Each proposal is its chain's current genome plus moves_per_step
+    // clamped gaussian gene edits.
     std::vector<ga::Genome> proposals;
-    std::vector<ga::GenomeDelta> moves;
     proposals.reserve(active);
-    moves.reserve(active);
     for (std::size_t c = 0; c < active; ++c) {
       ga::Genome proposal = current[c];
-      ga::GenomeDelta move;
-      move.parent = c;
       for (int m = 0; m < config_.moves_per_step; ++m) {
         const std::size_t gene = rngs[c].index(proposal.size());
         proposal[gene] = std::clamp(
             proposal[gene] + rngs[c].gaussian(0.0, config_.step_sigma), 0.0,
             1.0);
-        move.changed.push_back(gene);
       }
       proposals.push_back(std::move(proposal));
-      moves.push_back(std::move(move));
     }
     const std::vector<double> proposal_fitness =
-        space.fitness_delta_batch(current, proposals, moves, pool.get());
+        space.fitness_batch(proposals, pool.get());
     evaluations += static_cast<long long>(active);
 
     for (std::size_t c = 0; c < active; ++c) {

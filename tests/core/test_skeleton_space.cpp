@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "core/test_support.h"
+#include "mars/ga/operators.h"
 #include "mars/util/worker_pool.h"
 
 namespace mars::core {
@@ -103,6 +104,37 @@ TEST(SkeletonSpaceBatchTest, BatchThenCompleteMatchesSerialSearchPath) {
     EXPECT_EQ(serial_mapping.sets[i].strategies,
               threaded_mapping.sets[i].strategies)
         << i;
+  }
+}
+
+// Fitness is a pure function of the encoded key: the same genome priced
+// through the serial and batch paths — on fresh or warm caches — returns
+// the identical double, and repeat evaluations charge pure cache hits (the
+// counter delta is exactly sets-many hits, zero misses).
+TEST(SkeletonSpacePurityTest, AllPathsAgreeOnFreshAndWarmCaches) {
+  AdaptiveFixture fx;
+  Rng rng(29);
+
+  SkeletonSpace serial_space(fx.problem, {{}, true});
+  const std::vector<ga::Genome> genome{
+      ga::random_genome(serial_space.codec().genome_size(), 0.0, 1.0, rng)};
+  const Skeleton skeleton = serial_space.codec().decode(genome[0]);
+  const auto num_sets = static_cast<long long>(skeleton.sets.size());
+
+  // Fresh caches, two paths.
+  const double serial = serial_space.fitness(skeleton);
+  SkeletonSpace batch_space(fx.problem, {{}, true});
+  const double batch = batch_space.fitness_batch(genome, nullptr).front();
+  EXPECT_EQ(serial, batch);
+
+  // Warm caches: same values, counter delta = pure hits on every path.
+  for (SkeletonSpace* space : {&serial_space, &batch_space}) {
+    const long long hits = space->cache_hits();
+    const long long misses = space->cache_misses();
+    EXPECT_EQ(space->fitness(skeleton), serial);
+    EXPECT_EQ(space->fitness_batch(genome, nullptr).front(), serial);
+    EXPECT_EQ(space->cache_hits(), hits + 2 * num_sets);
+    EXPECT_EQ(space->cache_misses(), misses);
   }
 }
 
